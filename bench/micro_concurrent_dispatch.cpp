@@ -109,9 +109,9 @@ void ConcurrentDispatchTune(benchmark::State& state) {
 BENCHMARK(ConcurrentDispatchTune)->ThreadRange(1, 8)->UseRealTime();
 
 void ConcurrentDispatchTunePointer(benchmark::State& state) {
-  // Pre-refactor tuned dispatch: pointer-walk evaluation on every launch,
-  // inline cache off. The CI overhead gate compares the tuned path above
-  // against this baseline at 1 and 8 threads.
+  // Uncached tuned dispatch: a tree walk on every launch, inline cache off.
+  // The CI overhead gate compares the tuned path above against this baseline
+  // at 1 and 8 threads.
   if (state.thread_index() == 0) {
     const auto& model = concurrent_model();
     auto& rt = apollo::Runtime::instance();
@@ -120,7 +120,6 @@ void ConcurrentDispatchTunePointer(benchmark::State& state) {
     rt.set_mode(apollo::Mode::Tune);
     rt.set_policy_model(model);
     rt.set_inline_cache_enabled(false);
-    rt.set_flat_eval_enabled(false);
   }
   dispatch_loop(state);
   if (state.thread_index() == 0) apollo::Runtime::instance().reset();

@@ -16,7 +16,6 @@
 
 #include "core/tuner_model.hpp"
 #include "instr/mix.hpp"
-#include "ml/flat_tree.hpp"
 
 namespace raja {
 class IndexSet;
@@ -39,31 +38,24 @@ struct CompiledFeature {
   std::unordered_map<std::string, double> dictionary;  ///< categorical codes
 };
 
-/// A TunerModel plus its pre-resolved feature plan and the branchless
-/// FlatTree compilation of its decision tree (built here, at publish time —
-/// the paper's Fig. 4 tree-to-code transform done in memory with no compiler
-/// in the loop). Immutable after compile().
+/// A TunerModel plus its pre-resolved feature plan, built at publish time.
+/// Immutable after compile().
 class CompiledModel {
 public:
   [[nodiscard]] static CompiledModel compile(TunerModel model);
 
   /// Evaluate the model on this launch. `scratch` is the caller's feature
   /// buffer (typically thread-local); after the call it holds exactly the
-  /// vector the tree saw, in feature_names() order. `use_flat` selects the
-  /// compiled flat table when available (APOLLO_FLAT_EVAL routes through
-  /// here); the two forms are bit-for-bit identical, so the choice is purely
-  /// a speed/diagnosability knob.
+  /// vector the tree saw, in feature_names() order.
   [[nodiscard]] int predict(const KernelHandle& kernel, const raja::IndexSet& iset,
-                            std::vector<double>& scratch, bool use_flat = true) const;
+                            std::vector<double>& scratch) const;
 
   /// Resolve this launch's feature vector into `scratch` without predicting.
   void resolve_features(const KernelHandle& kernel, const raja::IndexSet& iset,
                         std::vector<double>& scratch) const;
 
-  /// Evaluate an already-resolved feature vector (flat table when available
-  /// and requested, pointer walk otherwise).
-  [[nodiscard]] int predict_encoded(const double* features, bool use_flat = true) const {
-    if (use_flat && flat_.ok()) return flat_.predict(features);
+  /// Evaluate an already-resolved feature vector.
+  [[nodiscard]] int predict_encoded(const double* features) const {
     return model_.tree().predict(features);
   }
 
@@ -71,13 +63,10 @@ public:
   [[nodiscard]] const std::vector<CompiledFeature>& features() const noexcept {
     return features_;
   }
-  [[nodiscard]] bool has_flat() const noexcept { return flat_.ok(); }
-  [[nodiscard]] const ml::FlatTree& flat() const noexcept { return flat_; }
 
 private:
   TunerModel model_;
   std::vector<CompiledFeature> features_;
-  ml::FlatTree flat_;
 };
 
 /// One published generation of compiled tuning models. `version` is the

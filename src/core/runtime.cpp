@@ -142,12 +142,6 @@ Runtime::Runtime() {
   const std::size_t capacity =
       telemetry::env_size("APOLLO_SAMPLE_CAPACITY", online::kDefaultSampleCapacity);
   if (capacity != online::kDefaultSampleCapacity) records_.set_capacity(capacity);
-  // Decision-path knobs, through the hardened parser (garbage warns and
-  // keeps the default): 0 disables, any other integer enables.
-  env_inline_cache_default_ = telemetry::env_int64("APOLLO_INLINE_CACHE", 1, 0) != 0;
-  env_flat_eval_default_ = telemetry::env_int64("APOLLO_FLAT_EVAL", 1, 0) != 0;
-  inline_cache_enabled_.store(env_inline_cache_default_, std::memory_order_relaxed);
-  flat_eval_enabled_.store(env_flat_eval_default_, std::memory_order_relaxed);
   // Training-search knobs (APOLLO_SEARCH family), hardened the same way.
   env_search_defaults_ = search_options_from_env();
   search_options_ = env_search_defaults_;
@@ -342,8 +336,7 @@ void Runtime::reset() {
   default_override_.reset();
   execute_selected_ = true;
   accountant_ = nullptr;
-  inline_cache_enabled_.store(env_inline_cache_default_, std::memory_order_relaxed);
-  flat_eval_enabled_.store(env_flat_eval_default_, std::memory_order_relaxed);
+  inline_cache_enabled_.store(true, std::memory_order_relaxed);
   clear_models();
   {
     // Reset in place: contexts (and the pointers KernelHandles cache) stay
@@ -467,18 +460,17 @@ double Runtime::measure_seconds(const sim::CostQuery& query) {
 void Runtime::apply_models(const ModelSnapshot* snapshot, ModelParams& params,
                            const KernelHandle& kernel, const raja::IndexSet& iset) {
   if (snapshot == nullptr) return;
-  const bool use_flat = flat_eval_enabled_.load(std::memory_order_relaxed);
   if (snapshot->policy) {
-    const int label = snapshot->policy->predict(kernel, iset, t_features, use_flat);
+    const int label = snapshot->policy->predict(kernel, iset, t_features);
     params.selection = label;
     params.policy = raja::policy_from_name(snapshot->policy->model().label_name(label));
   }
   if (snapshot->chunk && params.policy == raja::PolicyType::seq_segit_omp_parallel_for_exec) {
-    const int label = snapshot->chunk->predict(kernel, iset, t_features, use_flat);
+    const int label = snapshot->chunk->predict(kernel, iset, t_features);
     params.chunk_size = std::stoll(snapshot->chunk->model().label_name(label));
   }
   if (snapshot->threads && params.policy == raja::PolicyType::seq_segit_omp_parallel_for_exec) {
-    const int label = snapshot->threads->predict(kernel, iset, t_features, use_flat);
+    const int label = snapshot->threads->predict(kernel, iset, t_features);
     params.threads = static_cast<unsigned>(std::stoul(snapshot->threads->model().label_name(label)));
   }
 }
@@ -538,13 +530,6 @@ void Runtime::tuned_decision(KernelContext& context, const ModelSnapshot* snapsh
           "Tuned launches that evaluated the model (no cached decision matched).");
       misses.inc();
     }
-    if (snapshot != nullptr && snapshot->policy && snapshot->policy->has_flat() &&
-        flat_eval_enabled_.load(std::memory_order_relaxed)) {
-      static telemetry::Counter& flat_evals = telemetry::MetricsRegistry::instance().counter(
-          "apollo_flat_eval_total",
-          "Model evaluations served by the compiled branchless flat table.");
-      flat_evals.inc();
-    }
     if (snapshot != nullptr) maybe_capture_decision(*snapshot, params, kernel, iset);
   }
 }
@@ -561,8 +546,7 @@ void Runtime::maybe_capture_decision(const ModelSnapshot& snapshot, const ModelP
   // holds exactly the vector the tree saw. Introspection and the audit log
   // share the one extra evaluation.
   const TunerModel& policy = snapshot.policy->model();
-  const int label = snapshot.policy->predict(kernel, iset, t_features,
-                                             flat_eval_enabled_.load(std::memory_order_relaxed));
+  const int label = snapshot.policy->predict(kernel, iset, t_features);
   const auto& names = policy.tree().feature_names();
   if (audit_due) {
     t_pending.audit_armed = true;

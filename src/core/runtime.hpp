@@ -148,26 +148,16 @@ public:
     return execute_selected_ || timing_ == TimingSource::Wallclock;
   }
 
-  /// Per-site inline decision cache (APOLLO_INLINE_CACHE, default on): tuned
-  /// launches whose feature signature, model epoch, and blackboard generation
-  /// all match the kernel's last decision reuse it — one load and one compare
-  /// instead of a model evaluation. Purely a speed knob: a hit returns
+  /// Per-site inline decision cache (default on): tuned launches whose
+  /// feature signature, model epoch, and blackboard generation all match the
+  /// kernel's last decision reuse it — one load and one compare instead of a
+  /// model evaluation. Purely a speed knob: a hit returns
   /// exactly the parameters a fresh evaluation would.
   void set_inline_cache_enabled(bool enabled) noexcept {
     inline_cache_enabled_.store(enabled, std::memory_order_relaxed);
   }
   [[nodiscard]] bool inline_cache_enabled() const noexcept {
     return inline_cache_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Branchless flat-table model evaluation (APOLLO_FLAT_EVAL, default on).
-  /// Off forces the pointer tree walk; predictions are bit-for-bit identical
-  /// either way (tools/apollo_replay --expect-match proves it on live logs).
-  void set_flat_eval_enabled(bool enabled) noexcept {
-    flat_eval_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool flat_eval_enabled() const noexcept {
-    return flat_eval_enabled_.load(std::memory_order_relaxed);
   }
 
   // --- models --------------------------------------------------------------
@@ -364,14 +354,9 @@ private:
   std::optional<raja::PolicyType> default_override_;
   bool execute_selected_ = true;
   ClusterAccountant* accountant_ = nullptr;
-  /// Decision-path knobs (atomic so tests may toggle them mid-run; the
-  /// dispatch path reads each once per launch, relaxed). Defaults come from
-  /// APOLLO_INLINE_CACHE / APOLLO_FLAT_EVAL via hardened env parsing and are
-  /// restored by reset().
+  /// Atomic so tests may toggle it mid-run; the dispatch path reads it once
+  /// per launch, relaxed. reset() turns it back on.
   std::atomic<bool> inline_cache_enabled_{true};
-  std::atomic<bool> flat_eval_enabled_{true};
-  bool env_inline_cache_default_ = true;
-  bool env_flat_eval_default_ = true;
 
   // --- model snapshot (RCU: epoch + mutex-guarded publish) ------------------
   mutable std::mutex models_mutex_;
@@ -450,10 +435,11 @@ void forall(const KernelHandle& kernel, raja::Index n, Body&& body) {
 /// decision for the whole group instead of one per segment — each group is
 /// an O(1) slice sharing the parent's storage, decided and accounted through
 /// the ordinary begin/end hooks (so the per-site inline cache, stats shards,
-/// and telemetry all see it as a normal launch). Segment order is preserved:
-/// groups run in sequence, and every index runs exactly once, in the same
-/// order forall would visit it. A homogeneous set (one group) degenerates to
-/// plain forall with zero extra cost.
+/// and telemetry all see it as a normal launch). Groups run in sequence and
+/// every index runs exactly once; within a group the decided policy runs the
+/// indices, so they keep forall's order only under a sequential policy. A
+/// homogeneous set (one group) degenerates to plain forall with zero extra
+/// cost.
 template <typename Body>
 void forall_grouped(const KernelHandle& kernel, const raja::IndexSet& iset, Body&& body) {
   auto& runtime = Runtime::instance();

@@ -33,9 +33,6 @@ public:
   [[nodiscard]] std::size_t tree_count() const noexcept { return trees_.size(); }
   [[nodiscard]] const std::vector<DecisionTree>& trees() const noexcept { return trees_; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] const std::vector<std::vector<std::size_t>>& feature_maps() const noexcept {
-    return feature_maps_;
-  }
 
   /// Majority vote over all trees (ties break toward the lower class index).
   [[nodiscard]] int predict(const std::vector<double>& features) const;

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <limits>
 
 #include "core/cluster_accountant.hpp"
 #include "core/features.hpp"
@@ -155,7 +158,10 @@ TEST_F(RuntimeTest, BlackboardAttributesLandInRecords) {
   perf::ScopedAnnotation problem("problem_name", "sedov");
   perf::ScopedAnnotation step("timestep", 7);
   forall(small_kernel(), 100, [](raja::Index) {});
-  const auto& r = rt.records().front();
+  // records() returns by value: hold the copy, not a reference into it.
+  const auto records = rt.records();
+  ASSERT_FALSE(records.empty());
+  const auto& r = records.front();
   EXPECT_EQ(r.at("problem_name").as_string(), "sedov");
   EXPECT_EQ(r.at("timestep").as_int(), 7);
 }
@@ -390,7 +396,7 @@ TEST_F(RuntimeTest, StatsReturnsConsistentPointInTimeCopy) {
   EXPECT_EQ(rt.stats().invocations, 2);
 }
 
-// --- inline decision cache, flat evaluation, grouped dispatch ----------------
+// --- inline decision cache, grouped dispatch --------------------------------
 
 #include <cstdlib>
 #include <sstream>
@@ -484,44 +490,56 @@ TEST_F(RuntimeTest, InlineCacheKnobDisablesLookups) {
   EXPECT_EQ(context.inline_cache_misses(), 0);
 }
 
-TEST_F(RuntimeTest, FlatAndPointerEvaluationDecideIdentically) {
-  auto& rt = Runtime::instance();
-  rt.set_mode(Mode::Record);
-  for (int rep = 0; rep < 3; ++rep) {
-    forall(small_kernel(), 50, [](raja::Index) {});
-    forall(small_kernel(), 200000, [](raja::Index) {});
-  }
-  const TunerModel model = Trainer::train(rt.records(), TunedParameter::Policy);
-  rt.set_mode(Mode::Tune);
-  rt.set_policy_model(model);
-  rt.set_inline_cache_enabled(false);  // force a fresh evaluation per launch
-  const std::int64_t sizes[] = {1, 50, 4096, 100000, 200000, 1 << 20};
-  std::vector<raja::PolicyType> flat_decisions, pointer_decisions;
-  for (const std::int64_t n : sizes) {
-    flat_decisions.push_back(rt.begin(small_kernel(), raja::IndexSet::range(0, n)).policy);
-  }
-  rt.set_flat_eval_enabled(false);
-  for (const std::int64_t n : sizes) {
-    pointer_decisions.push_back(rt.begin(small_kernel(), raja::IndexSet::range(0, n)).policy);
-  }
-  EXPECT_EQ(flat_decisions, pointer_decisions);
-}
-
 TEST_F(RuntimeTest, GroupedForallVisitsEveryIndexOnceInOrder) {
   raja::IndexSet iset;
   iset.push_back(raja::RangeSegment{0, 40});
   iset.push_back(raja::RangeSegment{40, 80});
   iset.push_back(raja::StridedSegment{100, 140, 2});
   iset.push_back(raja::ListSegment{{500, 501, 503}});
-  ASSERT_EQ(iset.plan_groups().size(), 3u);
+  const auto groups = iset.plan_groups();
+  ASSERT_EQ(groups.size(), 3u);
 
-  std::vector<raja::Index> plain, grouped;
-  forall(small_kernel(), iset, [&](raja::Index i) { plain.push_back(i); });
-  Runtime::instance().reset_stats();
-  forall_grouped(small_kernel(), iset, [&](raja::Index i) { grouped.push_back(i); });
-  EXPECT_EQ(grouped, plain);
+  // Parallel default policy: every index runs exactly once and the groups
+  // run in sequence. Each visit draws a ticket from a shared counter, so a
+  // later group's tickets must all exceed an earlier group's.
+  constexpr raja::Index kSpan = 504;
+  std::vector<std::atomic<int>> visits(kSpan);
+  std::vector<std::atomic<int>> ticket(kSpan);
+  std::atomic<int> next_ticket{0};
+  auto& rt = Runtime::instance();
+  rt.reset_stats();
+  forall_grouped(small_kernel(), iset, [&](raja::Index i) {
+    visits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+    ticket[static_cast<std::size_t>(i)].store(next_ticket.fetch_add(1), std::memory_order_relaxed);
+  });
   // One launch (decision + accounting) per plan group, not per segment.
-  EXPECT_EQ(Runtime::instance().stats().per_kernel.at(small_kernel().loop_id()).invocations, 3);
+  EXPECT_EQ(rt.stats().per_kernel.at(small_kernel().loop_id()).invocations, 3);
+  std::vector<int> expected(kSpan, 0);
+  iset.for_each_index([&](raja::Index i) { expected[static_cast<std::size_t>(i)] = 1; });
+  for (raja::Index i = 0; i < kSpan; ++i) {
+    EXPECT_EQ(visits[static_cast<std::size_t>(i)].load(), expected[static_cast<std::size_t>(i)])
+        << "index " << i;
+  }
+  int previous_max = -1;
+  for (const auto& group : groups) {
+    int group_min = std::numeric_limits<int>::max();
+    int group_max = -1;
+    iset.slice(group.first, group.count).for_each_index([&](raja::Index i) {
+      const int t = ticket[static_cast<std::size_t>(i)].load();
+      group_min = std::min(group_min, t);
+      group_max = std::max(group_max, t);
+    });
+    EXPECT_GT(group_min, previous_max) << "group at segment " << group.first << " overlapped";
+    previous_max = group_max;
+  }
+
+  // Sequential policy: per-index order is exactly plain forall's.
+  std::vector<raja::Index> plain, grouped;
+  forall(seq_default_kernel(), iset, [&](raja::Index i) { plain.push_back(i); });
+  rt.reset_stats();
+  forall_grouped(seq_default_kernel(), iset, [&](raja::Index i) { grouped.push_back(i); });
+  EXPECT_EQ(grouped, plain);
+  EXPECT_EQ(rt.stats().per_kernel.at(seq_default_kernel().loop_id()).invocations, 3);
 }
 
 TEST_F(RuntimeTest, GroupedForallBatchesOneDecisionPerGroup) {
@@ -584,20 +602,17 @@ TEST_F(RuntimeTest, GroupedForallMatchesPlainDecisionsUnderModel) {
 }
 
 TEST(RuntimeEnvKnobs, GarbageValuesWarnAndKeepDefaults) {
-  // APOLLO_INLINE_CACHE / APOLLO_FLAT_EVAL route through the hardened env
-  // parser the Runtime constructor uses: garbage warns and keeps the
-  // documented default (on), it never silently disables the fast path.
-  const char* garbage[] = {"", "abc", "64k", "1e6", "-3", "12 34", "0x1", "true"};
+  // APOLLO_SAMPLE_CAPACITY routes through the hardened env parser the
+  // Runtime constructor uses: garbage (and 0, below the minimum) warns and
+  // keeps the default, it never silently shrinks the sample buffer.
+  const std::size_t fallback = online::kDefaultSampleCapacity;
+  const char* garbage[] = {"", "abc", "64k", "1e6", "-3", "12 34", "0x1", "true", "0"};
   for (const char* value : garbage) {
-    setenv("APOLLO_INLINE_CACHE", value, 1);
-    setenv("APOLLO_FLAT_EVAL", value, 1);
-    EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_INLINE_CACHE", 1, 0), 1) << value;
-    EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_FLAT_EVAL", 1, 0), 1) << value;
+    setenv("APOLLO_SAMPLE_CAPACITY", value, 1);
+    EXPECT_EQ(apollo::telemetry::env_size("APOLLO_SAMPLE_CAPACITY", fallback), fallback)
+        << value;
   }
-  setenv("APOLLO_INLINE_CACHE", "0", 1);
-  EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_INLINE_CACHE", 1, 0), 0);
-  setenv("APOLLO_FLAT_EVAL", "1", 1);
-  EXPECT_EQ(apollo::telemetry::env_int64("APOLLO_FLAT_EVAL", 1, 0), 1);
-  unsetenv("APOLLO_INLINE_CACHE");
-  unsetenv("APOLLO_FLAT_EVAL");
+  setenv("APOLLO_SAMPLE_CAPACITY", "4096", 1);
+  EXPECT_EQ(apollo::telemetry::env_size("APOLLO_SAMPLE_CAPACITY", fallback), 4096u);
+  unsetenv("APOLLO_SAMPLE_CAPACITY");
 }

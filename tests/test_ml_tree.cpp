@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ml/decision_tree.hpp"
 
@@ -228,3 +231,163 @@ TEST_P(DepthAccuracySweep, DeeperNeverWorseOnTraining) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, DepthAccuracySweep, ::testing::Values(1, 2, 3, 5, 8, 12));
+
+// --- predict(): the one evaluator every tuned launch runs --------------------
+// A split sends a value left when `value <= threshold` and right otherwise,
+// so NaN (every comparison false) goes right, -inf left, +inf right, and a
+// value exactly on the threshold left.
+
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Assert predict() on `v` follows the split rule at every step of its path
+/// and returns the label of the leaf it lands on.
+void expect_walk_follows_split_rule(const DecisionTree& tree, const std::vector<double>& v) {
+  std::vector<int> path;
+  const int label = tree.predict_path(v.data(), path);
+  ASSERT_EQ(tree.predict(v.data()), label);
+  ASSERT_EQ(path.front(), 0);
+  const auto& nodes = tree.nodes();
+  for (std::size_t step = 0; step + 1 < path.size(); ++step) {
+    const auto& node = nodes[static_cast<std::size_t>(path[step])];
+    ASSERT_GE(node.feature, 0) << "walk continued past a leaf";
+    const double x = v[static_cast<std::size_t>(node.feature)];
+    const bool left = !std::isnan(x) && x <= node.threshold;
+    ASSERT_EQ(path[step + 1], left ? node.left : node.right) << "x=" << x;
+  }
+  EXPECT_LT(nodes[static_cast<std::size_t>(path.back())].feature, 0);
+  EXPECT_EQ(nodes[static_cast<std::size_t>(path.back())].label, label);
+}
+
+/// A fitted tree of real depth over `features` columns (label = |sum| mod
+/// `classes`, 10% noise), plus probes that hit NaN, +/-inf and exact node
+/// thresholds as well as ordinary values.
+DecisionTree random_tree(std::mt19937_64& rng, std::size_t features, int classes) {
+  std::vector<std::string> feature_names, label_names;
+  for (std::size_t f = 0; f < features; ++f) feature_names.push_back("f" + std::to_string(f));
+  for (int c = 0; c < classes; ++c) label_names.push_back("c" + std::to_string(c));
+  Dataset d(feature_names, label_names);
+  std::uniform_real_distribution<double> value(-10.0, 10.0);
+  for (int r = 0; r < 250; ++r) {
+    std::vector<double> row(features);
+    double sum = 0.0;
+    for (auto& x : row) sum += (x = value(rng));
+    const int noise = rng() % 10 == 0 ? 1 : 0;
+    d.add_row(row, (static_cast<int>(std::fabs(sum)) + noise) % classes);
+  }
+  return DecisionTree::fit(d, loose());
+}
+
+std::vector<double> probe(std::mt19937_64& rng, const DecisionTree& tree, std::size_t features) {
+  std::uniform_real_distribution<double> value(-12.0, 12.0);
+  std::vector<double> v(features);
+  for (auto& x : v) x = value(rng);
+  const std::size_t f = rng() % features;
+  switch (rng() % 10) {
+    case 0: v[f] = kNaN; break;
+    case 1: v[f] = kInf; break;
+    case 2: v[f] = -kInf; break;
+    case 3: {
+      const auto& node = tree.nodes()[rng() % tree.node_count()];
+      if (node.feature >= 0) v[static_cast<std::size_t>(node.feature)] = node.threshold;
+      break;
+    }
+    default: break;
+  }
+  return v;
+}
+
+/// One split on x at 5.0; `swapped` stores the children in reverse order
+/// (the loader accepts any forward-pointing layout, not just preorder).
+DecisionTree one_split_tree(bool swapped) {
+  std::stringstream io;
+  io << "apollo-tree 1\nfeatures 1 x\nlabels 2 lo hi\nnodes 3\n"
+     << (swapped ? "0 5 2 1 0 10 0.5\n-1 0 -1 -1 1 4 0\n-1 0 -1 -1 0 6 0\n"
+                 : "0 5 1 2 0 10 0.5\n-1 0 -1 -1 0 6 0\n-1 0 -1 -1 1 4 0\n");
+  return DecisionTree::load(io);
+}
+
+}  // namespace
+
+TEST(DecisionTreePredict, NaNGoesRightInfinitiesAndThresholdCompare) {
+  const DecisionTree tree = one_split_tree(false);
+  const auto at = [&](double x) { return tree.predict(&x); };
+  EXPECT_EQ(at(4.9), 0);
+  EXPECT_EQ(at(5.0), 0) << "a value on the threshold goes left (<=)";
+  EXPECT_EQ(at(std::nextafter(5.0, 6.0)), 1);
+  EXPECT_EQ(at(-kInf), 0);
+  EXPECT_EQ(at(kInf), 1);
+  EXPECT_EQ(at(kNaN), 1) << "NaN goes right";
+}
+
+TEST(DecisionTreePredict, NonPreorderLoadedTreeFollowsStoredChildren) {
+  const DecisionTree tree = one_split_tree(true);  // left=2 (lo), right=1 (hi)
+  for (double x : {-1.0, 4.9, 5.0}) EXPECT_EQ(tree.predict(&x), 0) << "x=" << x;
+  for (double x : {5.1, 100.0, kNaN}) EXPECT_EQ(tree.predict(&x), 1) << "x=" << x;
+  for (double x : {-1.0, 5.0, 5.1, kNaN}) expect_walk_follows_split_rule(tree, {x});
+}
+
+TEST(DecisionTreePredict, SingleLeafAnswersItsLabelForAnyInput) {
+  Dataset d({"x"}, {"only", "other"});
+  for (int i = 0; i < 10; ++i) d.add_row({static_cast<double>(i)}, 1);
+  const DecisionTree tree = DecisionTree::fit(d);
+  ASSERT_EQ(tree.node_count(), 1u);
+  for (double x : {3.0, -1e300, kNaN}) EXPECT_EQ(tree.predict(&x), 1) << "x=" << x;
+}
+
+TEST(DecisionTreePredict, FuzzRandomTreesFollowSplitRule) {
+  std::mt19937_64 rng(0xf1a77ee5ULL);
+  for (int round = 0; round < 25; ++round) {
+    const std::size_t features = 2 + rng() % 5;
+    const DecisionTree tree = random_tree(rng, features, 2 + static_cast<int>(rng() % 3));
+    ASSERT_GT(tree.depth(), 1);
+    for (int p = 0; p < 200; ++p) {
+      expect_walk_follows_split_rule(tree, probe(rng, tree, features));
+      if (HasFatalFailure()) FAIL() << "round " << round;
+    }
+  }
+}
+
+TEST(DecisionTreePredict, PruneAndSaveLoadKeepTheSplitRule) {
+  std::mt19937_64 rng(0x5eedULL);
+  const DecisionTree tree = random_tree(rng, 4, 3);
+  const DecisionTree pruned = tree.prune_to_depth(2);
+  std::stringstream io;
+  tree.save(io);
+  const DecisionTree reloaded = DecisionTree::load(io);
+  for (int p = 0; p < 150; ++p) {
+    const std::vector<double> v = probe(rng, tree, 4);
+    EXPECT_EQ(reloaded.predict(v.data()), tree.predict(v.data()));
+    expect_walk_follows_split_rule(pruned, v);
+    std::vector<int> path;
+    (void)pruned.predict_path(v.data(), path);
+    EXPECT_LE(path.size(), 3u) << "pruned walk deeper than 2";
+  }
+}
+
+TEST(DecisionTreePredict, DeepLoadedSpineWalksToItsLeaves) {
+  // A 40000-deep left spine: node i splits at 0.5 - i, its right child is a
+  // hi leaf, and the spine ends in a lo leaf. The walk is iterative, so any
+  // depth the loader accepts is servable.
+  constexpr int kDepth = 40000;
+  std::stringstream io;
+  io << "apollo-tree 1\nfeatures 1 x\nlabels 2 lo hi\nnodes " << (2 * kDepth + 1) << '\n';
+  for (int i = 0; i < kDepth; ++i) {
+    const int left = i + 1 < kDepth ? i + 1 : kDepth;
+    io << "0 " << (0.5 - i) << ' ' << left << ' ' << (kDepth + 1 + i) << " 0 1 0.1\n";
+  }
+  io << "-1 0 -1 -1 0 1 0\n";  // terminal left leaf (index kDepth)
+  for (int i = 0; i < kDepth; ++i) io << "-1 0 -1 -1 1 1 0\n";
+  const DecisionTree tree = DecisionTree::load(io);
+  ASSERT_EQ(tree.node_count(), static_cast<std::size_t>(2 * kDepth + 1));
+  const double high = 100.0, bottom = -1e9, mid = -99.75;
+  EXPECT_EQ(tree.predict(&high), 1);
+  EXPECT_EQ(tree.predict(&bottom), 0);
+  // -99.75 goes left through node 100 (threshold -99.5), right at node 101.
+  std::vector<int> path;
+  EXPECT_EQ(tree.predict_path(&mid, path), 1);
+  EXPECT_EQ(path.size(), 103u);
+  EXPECT_EQ(path.back(), kDepth + 1 + 101);
+}
