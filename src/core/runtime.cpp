@@ -15,7 +15,6 @@
 #include "ml/search/two_stage.hpp"
 #include "perf/blackboard.hpp"
 #include "service/client.hpp"
-#include "telemetry/audit.hpp"
 #include "telemetry/env.hpp"
 #include "telemetry/hwprof.hpp"
 
@@ -29,13 +28,13 @@ namespace {
 struct PendingLaunch {
   std::uint64_t start_ns = 0;
   std::uint64_t decide_dur_ns = 0;
-  bool introspect_armed = false;
-  telemetry::Decision decision;
-  /// Audit capture (APOLLO_AUDIT_FILE): the model's chosen label and the
-  /// exact feature vector, recorded for every tuned launch when armed.
-  bool audit_armed = false;
-  std::string audit_label;
-  std::vector<std::pair<std::string, double>> audit_features;
+  /// Decision capture (maybe_capture_decision): the record end() completes
+  /// and hands to the DecisionLog. `sampled` marks the introspection stride
+  /// (recent ring, calibration, Decide span); the sink takes every armed
+  /// record.
+  bool armed = false;
+  bool sampled = false;
+  telemetry::DecisionRecord record;
   /// Hardware-counter window opened by begin() on the profiling stride
   /// (APOLLO_HW_STRIDE); closed and aggregated by end().
   bool hw_armed = false;
@@ -538,40 +537,31 @@ void Runtime::maybe_capture_decision(const ModelSnapshot& snapshot, const ModelP
                                      const KernelHandle& kernel, const raja::IndexSet& iset) {
   const auto& cfg = telemetry::config();
   if (!snapshot.policy) return;
-  const bool introspect_due =
+  const bool sampled =
       cfg.introspect_stride != 0 && t_introspect_tick++ % cfg.introspect_stride == 0;
-  const bool audit_due = telemetry::AuditLog::instance().audit_enabled();
-  if (!introspect_due && !audit_due) return;
+  if (!sampled && !telemetry::DecisionLog::instance().sink_enabled()) return;
   // Re-evaluate the policy model for this captured launch; t_features then
-  // holds exactly the vector the tree saw. Introspection and the audit log
-  // share the one extra evaluation.
+  // holds exactly the vector the tree saw. The record is stamped with the
+  // generation that decided, not whatever is live when the launch ends.
   const TunerModel& policy = snapshot.policy->model();
   const int label = snapshot.policy->predict(kernel, iset, t_features);
   const auto& names = policy.tree().feature_names();
-  if (audit_due) {
-    t_pending.audit_armed = true;
-    t_pending.audit_label = policy.label_name(label);
-    t_pending.audit_features.clear();
-    t_pending.audit_features.reserve(names.size());
-    for (std::size_t f = 0; f < names.size(); ++f) {
-      t_pending.audit_features.emplace_back(names[f], t_features[f]);
-    }
-  }
-  if (!introspect_due) return;
-  telemetry::Decision decision;
-  decision.kernel = kernel.loop_id();
-  decision.ts_ns = telemetry::now_ns();
-  decision.model_version = snapshot.version;
-  decision.features.reserve(names.size());
+  telemetry::DecisionRecord& record = t_pending.record;
+  record = telemetry::DecisionRecord{};
+  record.kernel = kernel.loop_id();
+  record.model_version = snapshot.version;
+  record.label = policy.label_name(label);
+  record.features.reserve(names.size());
   for (std::size_t f = 0; f < names.size(); ++f) {
-    decision.features.emplace_back(names[f], t_features[f]);
+    record.features.emplace_back(names[f], t_features[f]);
   }
-  policy.tree().predict_path(t_features.data(), decision.tree_path);
-  decision.predicted = policy.label_name(label);
-  decision.predicted_seconds = machine_.cost_seconds(
-      make_query(kernel, iset, params.policy, params.chunk_size, params.threads));
-  t_pending.decision = std::move(decision);
-  t_pending.introspect_armed = true;
+  if (sampled) {
+    policy.tree().predict_path(t_features.data(), record.tree_path);
+    record.predicted_seconds = machine_.cost_seconds(
+        make_query(kernel, iset, params.policy, params.chunk_size, params.threads));
+  }
+  t_pending.armed = true;
+  t_pending.sampled = sampled;
 }
 
 void Runtime::emit_record(const KernelHandle& kernel, const raja::IndexSet& iset,
@@ -778,7 +768,8 @@ ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
   if (telem) {
     t_pending.start_ns = telemetry::now_ns();
     t_pending.decide_dur_ns = 0;
-    t_pending.introspect_armed = false;
+    t_pending.armed = false;
+    t_pending.sampled = false;
   }
   // Off-state cost: exactly this one relaxed load + branch (APOLLO_HW_STRIDE=0).
   if (telemetry::hwprof::enabled()) {
@@ -880,7 +871,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     // The registry histogram rides the introspection stride: every launch
     // already feeds the always-on decision_latency_ histogram, so the
     // labeled series trades resolution for ~40ns off the hot path.
-    if (t_pending.introspect_armed && t_pending.decide_dur_ns > 0) {
+    if (t_pending.sampled && t_pending.decide_dur_ns > 0) {
       entry.decision_seconds->observe(static_cast<double>(t_pending.decide_dur_ns) * 1e-9);
     }
     if (tuned) {
@@ -889,8 +880,8 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
       telemetry::QualityAccountant& quality = context.quality_locked();
       const std::uint64_t vkey = online::Variant{params.policy, params.chunk_size}.key();
       quality.observe_choice(context.loop_id(), bucket, vkey, seconds, !params.explored);
-      if (t_pending.introspect_armed) {
-        quality.observe_calibration(context.loop_id(), t_pending.decision.predicted_seconds,
+      if (t_pending.sampled) {
+        quality.observe_calibration(context.loop_id(), t_pending.record.predicted_seconds,
                                     seconds);
         // The exported gauges ride the introspection stride (and the probe
         // path below): the live files refresh on a 500ms cadence, so
@@ -929,57 +920,44 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     telemetry::emit_span(telemetry::EventKind::Launch, trace_name, t_pending.start_ns, end_ns,
                          online::Variant{params.policy, params.chunk_size}.key(),
                          params.explored ? 1 : 0);
-    if (t_pending.introspect_armed) {
-      // Decide spans ride the introspection stride: every tuned launch feeds
-      // the latency histograms, but only sampled launches pay a second event.
-      if (t_pending.decide_dur_ns > 0) {
-        telemetry::emit_span(telemetry::EventKind::Decide, trace_name, t_pending.start_ns,
-                             t_pending.start_ns + t_pending.decide_dur_ns,
-                             adapt_version_.load(std::memory_order_relaxed), 0);
+    // Decide spans ride the introspection stride: every tuned launch feeds
+    // the latency histograms, but only sampled launches pay a second event.
+    if (t_pending.sampled && t_pending.decide_dur_ns > 0) {
+      telemetry::emit_span(telemetry::EventKind::Decide, trace_name, t_pending.start_ns,
+                           t_pending.start_ns + t_pending.decide_dur_ns,
+                           t_pending.record.model_version, 0);
+    }
+    if (t_pending.armed) {
+      telemetry::DecisionRecord& record = t_pending.record;
+      record.ts_ns = t_pending.start_ns;
+      record.bucket = bucket;
+      record.policy = raja::policy_name(params.policy);
+      record.chunk = params.chunk_size;
+      record.explored = params.explored;
+      record.seconds = seconds;
+      if (hw_valid) {
+        // Counter signature for this exact decision: lets apollo_replay and
+        // apollo_prof correlate mispredictions with what the PMU saw.
+        record.has_hw = true;
+        record.hw_instructions = hw_sample.count(telemetry::hwprof::Event::Instructions);
+        record.hw_cycles = hw_sample.count(telemetry::hwprof::Event::Cycles);
+        record.hw_cache_misses = hw_sample.count(telemetry::hwprof::Event::CacheMisses);
+        record.hw_branch_misses = hw_sample.count(telemetry::hwprof::Event::BranchMisses);
+        record.hw_stalled_cycles = hw_sample.count(telemetry::hwprof::Event::StalledCycles);
+        record.hw_scale = hw_sample.scale;
       }
-      t_pending.decision.observed_seconds = seconds;
-      t_pending.decision.explored = params.explored;
-      telemetry::DecisionLog::instance().record(std::move(t_pending.decision));
-      t_pending.introspect_armed = false;
+      telemetry::DecisionLog::instance().record(std::move(record), t_pending.sampled);
+      t_pending.armed = false;
+      t_pending.sampled = false;
     }
     t_pending.start_ns = 0;
-  }
-
-  if (telem && t_pending.audit_armed) {
-    telemetry::AuditRecord record;
-    record.kind = telemetry::AuditRecord::Kind::Decision;
-    record.ts_ns = telemetry::now_ns();
-    record.kernel = kernel.loop_id();
-    record.bucket = bucket;
-    record.model_version = adapt_version_.load(std::memory_order_relaxed);
-    record.label = std::move(t_pending.audit_label);
-    record.policy = raja::policy_name(params.policy);
-    record.chunk = params.chunk_size;
-    record.explored = params.explored;
-    record.seconds = seconds;
-    record.features = std::move(t_pending.audit_features);
-    if (hw_valid) {
-      // Counter signature for this exact decision: lets apollo_replay and
-      // apollo_prof correlate mispredictions with what the PMU saw.
-      record.has_hw = true;
-      record.hw_instructions = hw_sample.count(telemetry::hwprof::Event::Instructions);
-      record.hw_cycles = hw_sample.count(telemetry::hwprof::Event::Cycles);
-      record.hw_cache_misses = hw_sample.count(telemetry::hwprof::Event::CacheMisses);
-      record.hw_branch_misses = hw_sample.count(telemetry::hwprof::Event::BranchMisses);
-      record.hw_stalled_cycles = hw_sample.count(telemetry::hwprof::Event::StalledCycles);
-      record.hw_scale = hw_sample.scale;
-    }
-    telemetry::AuditLog::instance().append(record);
-    t_pending.audit_armed = false;
-    t_pending.audit_label.clear();
-    t_pending.audit_features.clear();
   }
 
   if (probe_armed) {
     // The probe runs outside the per-kernel lock: it prices the alternative
     // variant through the machine model and shares the measurement with the
     // sample buffer (retraining data), the drift detector (Adapt mode), the
-    // quality baselines, and the audit log.
+    // quality baselines, and the decision log sink.
     const double probe_seconds =
         measure_seconds(make_query(kernel, iset, probe_variant.policy, probe_variant.chunk));
     emit_record(kernel, iset, probe_variant.policy, probe_variant.chunk, probe_seconds);
@@ -1000,9 +978,9 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     static telemetry::Counter& probes = telemetry::MetricsRegistry::instance().counter(
         "apollo_probe_total", "Ground-truth probes launched (alternative-variant timings).");
     probes.inc();
-    if (telemetry::AuditLog::instance().audit_enabled()) {
-      telemetry::AuditRecord record;
-      record.kind = telemetry::AuditRecord::Kind::Probe;
+    if (telemetry::DecisionLog::instance().sink_enabled()) {
+      telemetry::DecisionRecord record;
+      record.kind = telemetry::DecisionRecord::Kind::Probe;
       record.ts_ns = telemetry::now_ns();
       record.kernel = kernel.loop_id();
       record.bucket = bucket;
@@ -1010,7 +988,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
       record.policy = raja::policy_name(probe_variant.policy);
       record.chunk = probe_variant.chunk;
       record.seconds = probe_seconds;
-      telemetry::AuditLog::instance().append(record);
+      telemetry::DecisionLog::instance().record(std::move(record), false);
     }
   }
 

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "telemetry/env.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 
 #if defined(__linux__)
@@ -614,15 +615,6 @@ void accumulate_signature(HwSignature& signature, double ipc, double cache_rate,
   signature.mean_stall_fraction += (stall - signature.mean_stall_fraction) / n;
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 void append_signature_json(std::ostringstream& out, const char* key,
                            const HwSignature& signature) {
   out << "\"" << key << "\":{\"launches\":" << signature.launches << ",\"mean_ipc\":"
@@ -649,7 +641,7 @@ double ProfileRow::cycles_per_element() const noexcept {
   return ratio(static_cast<double>(cycles), static_cast<double>(elements));
 }
 
-HwCorrelation correlate_hw(const std::vector<AuditRecord>& records) {
+HwCorrelation correlate_hw(const std::vector<DecisionRecord>& records) {
   HwCorrelation correlation;
   // Ground truth from the log itself: mean measured seconds per
   // (kernel, bucket, variant) over every record, probes included.
@@ -658,7 +650,7 @@ HwCorrelation correlate_hw(const std::vector<AuditRecord>& records) {
     std::uint64_t n = 0;
   };
   std::map<std::tuple<std::string, std::uint64_t, std::string>, VariantEvidence> evidence;
-  const auto variant_of = [](const AuditRecord& record) {
+  const auto variant_of = [](const DecisionRecord& record) {
     std::string variant = record.policy;
     if (record.chunk > 0) variant += "/c" + std::to_string(record.chunk);
     return variant;
@@ -678,7 +670,7 @@ HwCorrelation correlate_hw(const std::vector<AuditRecord>& records) {
     }
   }
   for (const auto& record : records) {
-    if (record.kind != AuditRecord::Kind::Decision || !record.has_hw) continue;
+    if (record.kind != DecisionRecord::Kind::Decision || !record.has_hw) continue;
     ++correlation.audited;
     const double instructions = static_cast<double>(record.hw_instructions);
     const double cycles = static_cast<double>(record.hw_cycles);
@@ -694,7 +686,7 @@ HwCorrelation correlate_hw(const std::vector<AuditRecord>& records) {
 }
 
 ProfileReport build_report(const std::string& metrics_text,
-                           const std::vector<AuditRecord>& audit_records) {
+                           const std::vector<DecisionRecord>& audit_records) {
   ProfileReport report;
   std::map<std::pair<std::string, std::string>, ProfileRow> rows;
   std::istringstream in(metrics_text);

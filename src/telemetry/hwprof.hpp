@@ -27,7 +27,7 @@
 // stride (64) stays within 5% of the telemetry-on baseline. Windows ride a
 // process-wide stride rotor (the QualityAccountant probe pattern), aggregate
 // under one mutex per window (not per launch) into apollo_hw_* series in the
-// MetricsRegistry, annotate audit-log decisions, and ship fleet-wide through
+// MetricsRegistry, annotate decision-log records, and ship fleet-wide through
 // the existing TELEMETRY frame with zero wire changes.
 //
 // Environment (read by init_from_env, via the hardened telemetry/env parsers):
@@ -48,7 +48,7 @@
 #include <string_view>
 #include <vector>
 
-#include "telemetry/audit.hpp"
+#include "telemetry/decision_log.hpp"
 
 namespace apollo::telemetry::hwprof {
 
@@ -212,7 +212,7 @@ struct HwCorrelation {
   HwSignature predicted;
   HwSignature mispredicted;
 };
-[[nodiscard]] HwCorrelation correlate_hw(const std::vector<AuditRecord>& records);
+[[nodiscard]] HwCorrelation correlate_hw(const std::vector<DecisionRecord>& records);
 
 struct ProfileReport {
   std::string provider;            ///< from apollo_hw_provider_info ("" = unknown)
@@ -224,7 +224,7 @@ struct ProfileReport {
 /// Build the report from a Prometheus text exposition (apollo_hw_* series)
 /// plus optional parsed audit records.
 [[nodiscard]] ProfileReport build_report(const std::string& metrics_text,
-                                         const std::vector<AuditRecord>& audit_records);
+                                         const std::vector<DecisionRecord>& audit_records);
 /// Render at most `top` rows as an aligned text table / as JSON.
 [[nodiscard]] std::string render_report_text(const ProfileReport& report, std::size_t top);
 [[nodiscard]] std::string render_report_json(const ProfileReport& report, std::size_t top);

@@ -11,7 +11,6 @@
 #include <mutex>
 #include <thread>
 
-#include "telemetry/audit.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/env.hpp"
 #include "telemetry/hwprof.hpp"
@@ -79,7 +78,7 @@ void write_live_files() {
   } catch (const std::exception&) {
     // Live refresh is best-effort; the shutdown export reports real errors.
   }
-  AuditLog::instance().flush();
+  DecisionLog::instance().flush();
 }
 
 void collector_loop() {
@@ -144,12 +143,7 @@ void register_build_info_metric() {
 void configure(Config config) {
   Collector& c = Collector::instance();
   Tracer::instance().set_ring_capacity(config.ring_capacity);
-  if (config.introspect_stride > 0) DecisionLog::instance().set_per_kernel_limit(8);
-  AuditConfig audit;
-  audit.base_path = config.audit_file;
-  audit.segment_bytes = config.audit_segment_bytes;
-  audit.max_segments = config.audit_segments;
-  AuditLog::instance().configure(std::move(audit));
+  DecisionLog::instance().configure_sink({config.audit_file});
   const std::lock_guard<std::mutex> lock(c.mutex);
   c.config = std::move(config);
 }
@@ -183,9 +177,6 @@ void init_from_env() {
   cfg.introspect_stride = env_size("APOLLO_INTROSPECT_STRIDE", cfg.introspect_stride, 0);
   cfg.probe_stride = env_size("APOLLO_PROBE_STRIDE", cfg.probe_stride, 0);
   cfg.audit_file = env_string("APOLLO_AUDIT_FILE", cfg.audit_file);
-  cfg.audit_segment_bytes =
-      env_size("APOLLO_AUDIT_SEGMENT_BYTES", cfg.audit_segment_bytes, 1);
-  cfg.audit_segments = env_size("APOLLO_AUDIT_SEGMENTS", cfg.audit_segments, 1);
   configure(std::move(cfg));
   register_build_info_metric();
   set_enabled(true);
@@ -284,7 +275,7 @@ void shutdown() {
   if (done.exchange(true)) return;
   stop_collector();
   if (enabled()) export_all();
-  AuditLog::instance().close();
+  DecisionLog::instance().close();
 }
 
 void reset_for_testing() {
@@ -297,8 +288,7 @@ void reset_for_testing() {
   }
   Tracer::instance().reset();
   MetricsRegistry::instance().zero();
-  DecisionLog::instance().clear();
-  AuditLog::instance().reset_for_testing();
+  DecisionLog::instance().reset_for_testing();
   hwprof::reset_for_testing();
 }
 

@@ -12,20 +12,20 @@
 //
 // Environment (read once by init_from_env(), called from Runtime startup and
 // tool mains):
-//   APOLLO_TELEMETRY=1            enable tracing + metrics + introspection
+//   APOLLO_TELEMETRY=1            enable tracing + metrics + the decision log
 //   APOLLO_TRACE_FILE=path        chrome://tracing JSON (default apollo_trace.json)
 //   APOLLO_METRICS_FILE=path      Prometheus text ("-" or unset = stdout at exit;
 //                                 a path is also refreshed live for apollo_top)
-//   APOLLO_DECISIONS_FILE=path    decision-introspection JSONL (default
-//                                 apollo_decisions.jsonl, refreshed live)
+//   APOLLO_DECISIONS_FILE=path    the decision log's recent sampled records as
+//                                 JSONL (default apollo_decisions.jsonl,
+//                                 refreshed live)
 //   APOLLO_TELEMETRY_FLUSH_MS=n   live refresh cadence (default 500, 0 = off)
 //   APOLLO_INTROSPECT_STRIDE=n    sample every nth tuned launch (default 64, 0 = off)
 //   APOLLO_PROBE_STRIDE=n         ground-truth probe every nth tuned launch
 //                                 (default 64, 0 = off; model-timing runs only)
-//   APOLLO_AUDIT_FILE=path        decision audit log base path (unset = off);
-//                                 rotating segments <path>.000001.jsonl, ...
-//   APOLLO_AUDIT_SEGMENT_BYTES=n  audit segment rotation size (default 4 MiB)
-//   APOLLO_AUDIT_SEGMENTS=n       audit segments kept on disk (default 8)
+//   APOLLO_AUDIT_FILE=path        decision log sink base path (unset = off): every
+//                                 decision and probe, in rotating segments
+//                                 <path>.000001.jsonl, ... (4 MiB x 8 kept)
 //   APOLLO_HW_STRIDE=n            hardware-counter window every nth launch
 //                                 (default 0 = off; 64 recommended). Works
 //                                 without APOLLO_TELEMETRY; see hwprof.hpp
@@ -46,7 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/introspect.hpp"
+#include "telemetry/decision_log.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -69,15 +69,14 @@ struct Config {
   double flush_interval_seconds = 0.5;  ///< live metrics/decisions refresh (0 = off)
   std::size_t introspect_stride = 64;   ///< sample 1/n tuned launches (0 = off)
   std::size_t probe_stride = 64;        ///< ground-truth probe 1/n tuned launches (0 = off)
-  std::string audit_file;               ///< audit log base path ("" disables)
-  std::size_t audit_segment_bytes = 4u << 20;  ///< audit segment rotation size
-  std::size_t audit_segments = 8;       ///< audit segments kept on disk
+  std::string audit_file;               ///< decision log sink base path ("" disables)
   std::size_t ring_capacity = std::size_t{1} << 13;  ///< per-thread trace ring
   std::size_t collector_event_limit = std::size_t{1} << 19;  ///< retained trace events
 };
 
-/// Replace the configuration (applies ring capacity and introspection limits
-/// immediately). Does not flip the enabled switch or start the collector.
+/// Replace the configuration (applies the trace ring capacity and the
+/// decision log sink immediately). Does not flip the enabled switch or start
+/// the collector.
 void configure(Config config);
 [[nodiscard]] const Config& config();
 

@@ -7,14 +7,21 @@
 #include <atomic>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <thread>
+
+#include <unistd.h>
 
 #include "core/cluster_accountant.hpp"
 #include "core/features.hpp"
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
+#include "online/model_registry.hpp"
 #include "perf/blackboard.hpp"
+#include "telemetry/telemetry.hpp"
 
 using namespace apollo;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -599,6 +606,76 @@ TEST_F(RuntimeTest, GroupedForallMatchesPlainDecisionsUnderModel) {
     EXPECT_EQ(grouped.chunk_size, fresh.chunk_size);
     EXPECT_EQ(grouped.threads, fresh.threads);
   }
+}
+
+TEST_F(RuntimeTest, DecisionRecordStampsTheGenerationThatDecided) {
+  // A launch decided under generation 1 must be logged as generation 1 even
+  // when another thread hot-swaps generation 2 in before it ends — otherwise
+  // apollo_replay --expect-match would blame a correct model. Deterministic:
+  // the interleaving runs on a joined thread between A's begin() and end().
+  auto& rt = Runtime::instance();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("apollo_gen_stamp_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  telemetry::reset_for_testing();
+  telemetry::Config config;
+  config.trace_file.clear();
+  config.decisions_file.clear();
+  config.introspect_stride = 1;  // every decision is sampled: ring + Decide span
+  config.probe_stride = 0;
+  config.audit_file = (dir / "audit.jsonl").string();
+  telemetry::configure(config);
+  telemetry::set_enabled(true);
+
+  rt.set_mode(Mode::Adapt);
+  online::ModelRegistry& registry = rt.online().registry();
+  ASSERT_EQ(registry.publish(leaf_policy_model("seq")), 1u);
+  const raja::IndexSet iset = raja::IndexSet::range(0, 100);
+  const ModelParams a_params = rt.begin(small_kernel(), iset);  // decides under gen 1
+  std::thread([&] {
+    ASSERT_EQ(registry.publish(leaf_policy_model("omp")), 2u);
+    rt.end(seq_default_kernel(), iset, rt.begin(seq_default_kernel(), iset));
+  }).join();
+  rt.end(small_kernel(), iset, a_params);
+
+  telemetry::DecisionLog& log = telemetry::DecisionLog::instance();
+  log.flush();
+  std::map<std::string, telemetry::DecisionRecord> sunk;
+  for (const std::string& segment : log.segment_paths()) {
+    const auto lines = telemetry::read_complete_lines(segment);
+    ASSERT_TRUE(lines.has_value()) << segment;
+    for (const std::string& line : *lines) {
+      const auto record = telemetry::parse_decision_line(line);
+      ASSERT_TRUE(record.has_value()) << line;
+      sunk[record->kernel] = *record;
+    }
+  }
+  std::map<std::string, telemetry::DecisionRecord> sampled;
+  for (const auto& record : log.snapshot()) sampled[record.kernel] = record;
+  for (const auto* records : {&sunk, &sampled}) {
+    ASSERT_EQ(records->count(small_kernel().loop_id()), 1u);
+    ASSERT_EQ(records->count(seq_default_kernel().loop_id()), 1u);
+    const auto& a = records->at(small_kernel().loop_id());
+    EXPECT_EQ(a.model_version, 1u);
+    EXPECT_EQ(a.label, "seq");
+    EXPECT_EQ(records->at(seq_default_kernel().loop_id()).model_version, 2u);
+  }
+  // The Decide span carries the same generation as the record.
+  std::vector<telemetry::TraceEvent> events;
+  telemetry::Tracer::instance().drain(events);
+  int decide_spans = 0;
+  for (const auto& event : events) {
+    if (event.kind != telemetry::EventKind::Decide) continue;
+    ++decide_spans;
+    const bool is_a = event.ts_ns == sampled.at(small_kernel().loop_id()).ts_ns;
+    EXPECT_EQ(event.arg0, is_a ? 1u : 2u);
+  }
+  EXPECT_EQ(decide_spans, 2);
+
+  telemetry::set_enabled(false);
+  telemetry::reset_for_testing();
+  telemetry::configure(telemetry::Config{});
+  fs::remove_all(dir);
 }
 
 TEST(RuntimeEnvKnobs, GarbageValuesWarnAndKeepDefaults) {

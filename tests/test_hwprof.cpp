@@ -3,9 +3,10 @@
 // documented default), SoftwareProvider determinism (fixed synthetic-counter
 // ratios every machine reproduces), the perf provider where the PMU is
 // exposed (skipped otherwise — containers with perf_event_paranoid >= 2 or no
-// PMU must not flake), audit-record hw annotations, misprediction
-// correlation, and the full chain end-to-end: counter window -> apollo_hw_*
-// series -> audit annotation -> apollo_prof report, under each provider.
+// PMU must not flake), decision-record hw annotations, report JSON escaping,
+// misprediction correlation, and the full chain end-to-end: counter window ->
+// apollo_hw_* series -> decision-log annotation -> apollo_prof report, under
+// each provider.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,7 @@
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
 #include "raja/forall.hpp"
-#include "telemetry/audit.hpp"
+#include "telemetry/decision_log.hpp"
 #include "telemetry/hwprof.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
@@ -225,8 +226,8 @@ TEST(HwprofConfig, StrideRotorFiresEveryNth) {
 // Audit annotations
 
 TEST(HwprofAudit, AnnotatedRecordRoundTripsThroughJson) {
-  telemetry::AuditRecord record;
-  record.kind = telemetry::AuditRecord::Kind::Decision;
+  telemetry::DecisionRecord record;
+  record.kind = telemetry::DecisionRecord::Kind::Decision;
   record.ts_ns = 42;
   record.kernel = "stream \"triad\"";
   record.bucket = 7;
@@ -241,7 +242,7 @@ TEST(HwprofAudit, AnnotatedRecordRoundTripsThroughJson) {
   record.hw_stalled_cycles = 8;
   record.hw_scale = 1.25;
 
-  const auto parsed = telemetry::parse_audit_line(telemetry::to_json_line(record));
+  const auto parsed = telemetry::parse_decision_line(telemetry::to_json_line(record));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->has_hw);
   EXPECT_EQ(parsed->hw_instructions, record.hw_instructions);
@@ -254,23 +255,40 @@ TEST(HwprofAudit, AnnotatedRecordRoundTripsThroughJson) {
 
 TEST(HwprofAudit, PreHwprofLinesParseWithoutAnnotation) {
   // A line written before the hw fields existed: parses, has_hw false.
-  telemetry::AuditRecord record;
+  telemetry::DecisionRecord record;
   record.kernel = "k";
   record.policy = "seq";
   record.seconds = 0.001;
-  const auto parsed = telemetry::parse_audit_line(telemetry::to_json_line(record));
+  const auto parsed = telemetry::parse_decision_line(telemetry::to_json_line(record));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->has_hw);
+}
+
+TEST(HwprofReport, JsonEscapesControlCharactersInNames) {
+  // apollo_prof --json must stay valid JSON for any kernel or variant name:
+  // quotes, backslashes and every control character are escaped.
+  hwprof::ProfileReport report;
+  report.provider = "soft\"ware";
+  hwprof::ProfileRow row;
+  row.kernel = std::string("a\tb\nc\\d") + '\x01';
+  row.variant = "seq\"/c64";
+  row.cycles = 10;
+  report.rows.push_back(row);
+  const std::string json = hwprof::render_report_json(report, 0);
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+  EXPECT_NE(json.find(R"("kernel":"a\tb\nc\\d\u0001")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("variant":"seq\"/c64")"), std::string::npos) << json;
+  EXPECT_NE(json.find(R"("provider":"soft\"ware")"), std::string::npos) << json;
 }
 
 TEST(HwprofCorrelate, SplitsSignaturesByAuditGroundTruth) {
   // Evidence: for (k, bucket 0) "seq" is 10x faster than "omp". Two annotated
   // decisions — one executed seq (predicted, IPC 2.0), one omp
   // (mispredicted, IPC 0.5).
-  std::vector<telemetry::AuditRecord> records;
+  std::vector<telemetry::DecisionRecord> records;
   const auto make = [](const char* policy, double seconds, std::uint64_t instructions,
                        std::uint64_t cycles, bool hw) {
-    telemetry::AuditRecord r;
+    telemetry::DecisionRecord r;
     r.kernel = "k";
     r.bucket = 0;
     r.policy = policy;
@@ -361,9 +379,9 @@ void run_chain(hwprof::ProviderKind provider, const std::string& kernel_name) {
   config.probe_stride = 0;
   telemetry::configure(config);
   telemetry::set_enabled(true);
-  telemetry::AuditConfig audit;
+  telemetry::DecisionSinkConfig audit;
   audit.base_path = (dir / "audit.jsonl").string();
-  telemetry::AuditLog::instance().configure(audit);
+  telemetry::DecisionLog::instance().configure_sink(audit);
 
   hwprof::HwConfig hw;
   hw.stride = 1;
@@ -391,13 +409,13 @@ void run_chain(hwprof::ProviderKind provider, const std::string& kernel_name) {
   }
 
   // 2) Every audited decision carries the hw annotation.
-  telemetry::AuditLog::instance().flush();
-  std::vector<telemetry::AuditRecord> records;
-  for (const std::string& path : telemetry::AuditLog::instance().segment_paths()) {
+  telemetry::DecisionLog::instance().flush();
+  std::vector<telemetry::DecisionRecord> records;
+  for (const std::string& path : telemetry::DecisionLog::instance().segment_paths()) {
     const auto lines = telemetry::read_complete_lines(path);
     ASSERT_TRUE(lines.has_value());
     for (const std::string& line : *lines) {
-      const auto record = telemetry::parse_audit_line(line);
+      const auto record = telemetry::parse_decision_line(line);
       ASSERT_TRUE(record.has_value()) << line;
       records.push_back(*record);
     }

@@ -179,6 +179,13 @@ TEST(ServiceClient, AggregatesTrainsAndPushesToAllClients) {
     EXPECT_TRUE(snapshot->policy.has_value());
   }
 
+  // wait_sent counts bytes a client wrote, not batches the daemon ingested,
+  // and generation 1 can train from one client's batch alone: let the
+  // daemon's readers catch up before the exact counts are asserted.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (daemon.stats().samples_received < 32 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   const TrainerDaemon::Stats stats = daemon.stats();
   EXPECT_EQ(stats.clients_connected, 2u);
   EXPECT_EQ(stats.samples_received, 32u);

@@ -1,6 +1,6 @@
 // Unit tests for the telemetry subsystem: SPSC trace rings with exact drop
 // accounting, the metrics registry and its Prometheus text exposition,
-// histogram quantiles, decision introspection, the Chrome trace exporter,
+// histogram quantiles, the decision log's recent ring, the Chrome trace exporter,
 // build provenance, and the runtime's per-launch series.
 
 #include <gtest/gtest.h>
@@ -187,32 +187,46 @@ TEST_F(TelemetryTest, ZeroResetsValuesButKeepsHandles) {
 
 TEST_F(TelemetryTest, DecisionLogRollsOffPerKernel) {
   auto& log = telemetry::DecisionLog::instance();
-  log.clear();
-  log.set_per_kernel_limit(2);
-  for (int i = 0; i < 3; ++i) {
-    telemetry::Decision d;
+  log.reset_for_testing();
+  constexpr std::size_t kKept = telemetry::DecisionLog::kRecentPerKernel;
+  for (std::size_t i = 0; i < kKept + 1; ++i) {
+    telemetry::DecisionRecord d;
     d.kernel = "telemetry:decisions";
-    d.predicted = "omp";
-    d.predicted_seconds = 1.0 + i;
-    d.observed_seconds = 2.0 + i;
-    d.features.emplace_back("num_indices", 64.0 + i);
+    d.label = "omp";
+    d.predicted_seconds = 1.0 + static_cast<double>(i);
+    d.seconds = 2.0 + static_cast<double>(i);
+    d.features.emplace_back("num_indices", 64.0 + static_cast<double>(i));
     d.tree_path = {0, 1};
-    log.record(std::move(d));
+    log.record(std::move(d), /*sampled=*/true);
   }
-  EXPECT_EQ(log.recorded(), 3u);
+  // An unsampled record (a sink-only decision) never enters the ring.
+  telemetry::DecisionRecord unsampled;
+  unsampled.kernel = "telemetry:decisions";
+  log.record(unsampled, /*sampled=*/false);
+  EXPECT_EQ(log.recorded(), kKept + 1);
   const auto kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 2u);  // oldest rolled off
+  ASSERT_EQ(kept.size(), kKept);  // oldest rolled off
   EXPECT_DOUBLE_EQ(kept.front().predicted_seconds, 2.0);
 
   std::ostringstream out;
   log.write_json(out);
   const std::string json = out.str();
   EXPECT_NE(json.find("\"kernel\":\"telemetry:decisions\""), std::string::npos);
-  EXPECT_NE(json.find("\"predicted\":\"omp\""), std::string::npos);
+  EXPECT_NE(json.find("\"label\":\"omp\""), std::string::npos);
   EXPECT_NE(json.find("\"num_indices\""), std::string::npos);
   EXPECT_NE(json.find("\"tree_path\":[0,1]"), std::string::npos);
-  log.clear();
-  log.set_per_kernel_limit(8);
+  // The export is the one decision-line format.
+  std::istringstream lines(json);
+  std::string line;
+  std::size_t parsed = 0;
+  while (std::getline(lines, line)) {
+    const auto record = telemetry::parse_decision_line(line);
+    ASSERT_TRUE(record.has_value()) << line;
+    EXPECT_EQ(record->tree_path, (std::vector<int>{0, 1}));
+    ++parsed;
+  }
+  EXPECT_EQ(parsed, kKept);
+  log.reset_for_testing();
 }
 
 TEST_F(TelemetryTest, ChromeTraceExportPhasesAndMetadata) {

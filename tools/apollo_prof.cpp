@@ -4,7 +4,7 @@
 // (APOLLO_HW_STRIDE>0 with APOLLO_METRICS_FILE set) and renders the
 // apollo_hw_* series as a profile table: windows, cycles, IPC, cache- and
 // branch-miss rates, frontend-stall fraction, cycles per element — sorted by
-// where the cycles actually went. With --audit pointing at decision audit
+// where the cycles actually went. With --audit pointing at decision log
 // segments (APOLLO_AUDIT_FILE), it additionally correlates mispredicted
 // decisions with their counter signatures: the mean IPC/miss-rate fingerprint
 // of launches where the model picked the best-evidence variant vs where it
@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/audit.hpp"
+#include "telemetry/decision_log.hpp"
 #include "telemetry/build_info.hpp"
 #include "telemetry/hwprof.hpp"
 
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::ostringstream metrics;
   metrics << in.rdbuf();
 
-  std::vector<apollo::telemetry::AuditRecord> records;
+  std::vector<apollo::telemetry::DecisionRecord> records;
   for (const std::string& path : audit_paths) {
     const auto lines = apollo::telemetry::read_complete_lines(path);
     if (!lines) {
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const std::string& line : *lines) {
-      if (auto record = apollo::telemetry::parse_audit_line(line)) {
+      if (auto record = apollo::telemetry::parse_decision_line(line)) {
         records.push_back(std::move(*record));
       }
     }

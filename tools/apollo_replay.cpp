@@ -1,9 +1,10 @@
-// apollo-replay: offline what-if replay of a decision audit log.
+// apollo-replay: offline what-if replay of the decision log.
 //
-// Reads the rotating audit segments a run wrote with APOLLO_AUDIT_FILE set
-// (decision records carry the exact feature vector the live policy model
-// saw; probe records carry ground-truth timings of non-executed variants)
-// and re-evaluates one or more candidate `.model` files against them:
+// Reads the rotating segments the decision log's sink wrote with
+// APOLLO_AUDIT_FILE set (decision records carry the exact feature vector the
+// live policy model saw; probe records carry ground-truth timings of
+// non-executed variants) and re-evaluates one or more candidate `.model`
+// files against them:
 //
 //   - determinism: with --expect-match GEN, the FIRST --model is claimed to
 //     be the one that was live as generation GEN; its replayed prediction
@@ -43,13 +44,13 @@
 
 #include "core/tuner_model.hpp"
 #include "ml/confusion.hpp"
-#include "telemetry/audit.hpp"
+#include "telemetry/decision_log.hpp"
 #include "telemetry/hwprof.hpp"
 #include "telemetry/build_info.hpp"
 
 namespace {
 
-using apollo::telemetry::AuditRecord;
+using apollo::telemetry::DecisionRecord;
 
 /// Ground truth for one (kernel, bucket): mean observed seconds per policy.
 struct BucketTruth {
@@ -152,11 +153,11 @@ int main(int argc, char** argv) {
 
   // Load every complete line from every segment (a live writer's partial
   // trailing line is skipped, not misparsed), oldest segment first.
-  std::vector<AuditRecord> records;
-  std::vector<AuditRecord> oracle_records;
+  std::vector<DecisionRecord> records;
+  std::vector<DecisionRecord> oracle_records;
   std::uint64_t malformed = 0;
   const auto load = [&malformed](const std::vector<std::string>& paths,
-                                 std::vector<AuditRecord>& out) {
+                                 std::vector<DecisionRecord>& out) {
     for (const auto& path : paths) {
       const auto lines = apollo::telemetry::read_complete_lines(path);
       if (!lines) {
@@ -164,7 +165,7 @@ int main(int argc, char** argv) {
         return false;
       }
       for (const auto& line : *lines) {
-        if (auto record = apollo::telemetry::parse_audit_line(line)) {
+        if (auto record = apollo::telemetry::parse_decision_line(line)) {
           out.push_back(std::move(*record));
         } else {
           ++malformed;
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
   std::uint64_t probes = 0;
   for (const auto& record : records) {
     truth[{record.kernel, record.bucket}].add(record.policy, record.seconds);
-    if (record.kind == AuditRecord::Kind::Decision) {
+    if (record.kind == DecisionRecord::Kind::Decision) {
       ++decisions;
     } else {
       ++probes;
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
     const auto& feature_names = model.tree().feature_names();
     std::vector<double> feature_buffer(feature_names.size());
     for (const auto& record : records) {
-      if (record.kind != AuditRecord::Kind::Decision) continue;
+      if (record.kind != DecisionRecord::Kind::Decision) continue;
       // Rebuild the feature vector in this model's feature order from the
       // recorded (name, value) pairs; features this model wants but the
       // recording model never resolved evaluate as missing (-1).
