@@ -5,13 +5,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <filesystem>
 #include <random>
 
+#include "apps/cleverleaf/cleverleaf.hpp"
 #include "core/runtime.hpp"
 #include "core/trainer.hpp"
 #include "ml/codegen.hpp"
 #include "ml/decision_tree.hpp"
+#include "perf/blackboard.hpp"
 
 using namespace apollo;
 
@@ -98,6 +101,62 @@ void FullTunerDecision(benchmark::State& state) {
   rt.reset();
 }
 BENCHMARK(FullTunerDecision);
+
+void TrainFromSamples(benchmark::State& state) {
+  // The model-generation path every set-up and retrain pays: materialize a
+  // fixed Record sweep (12k samples of the CleverLeaf triple-point deck),
+  // label it for the policy and chunk models, and fit both trees. Counters
+  // give each phase's milliseconds per iteration.
+  constexpr std::size_t kSamples = 12000;
+  auto& rt = Runtime::instance();
+  rt.reset();
+  rt.sample_buffer().set_capacity(kSamples);
+  rt.set_mode(Mode::Record);
+  rt.set_timing_source(TimingSource::Model);
+  rt.set_execute_selected(false);
+  TrainingConfig training;
+  training.sweep_variants = true;
+  training.chunk_values = {8, 64, 512};
+  rt.set_training_config(training);
+  apps::cleverleaf::CleverConfig config;
+  config.problem = "triple_point";
+  apps::cleverleaf::Simulation sim(config);
+  const perf::ScopedAnnotation problem("problem_name", "clover-triple_point");
+  const perf::ScopedAnnotation size("problem_size", config.coarse_cells);
+  while (rt.record_count() < kSamples) {
+    const perf::ScopedAnnotation timestep("timestep", sim.cycle());
+    sim.step();
+  }
+  rt.set_mode(Mode::Off);
+
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  };
+  double materialize_ms = 0.0, label_ms = 0.0, fit_ms = 0.0;
+  for (auto _ : state) {
+    auto t0 = Clock::now();
+    const std::vector<perf::SampleRecord> records = rt.records();
+    materialize_ms += ms_since(t0);
+    t0 = Clock::now();
+    const LabeledData policy = Trainer::build_labeled_data(records, TunedParameter::Policy);
+    const LabeledData chunk = Trainer::build_labeled_data(records, TunedParameter::ChunkSize);
+    label_ms += ms_since(t0);
+    t0 = Clock::now();
+    const TunerModel policy_model = Trainer::train(policy, TunedParameter::Policy);
+    const TunerModel chunk_model = Trainer::train(chunk, TunedParameter::ChunkSize);
+    fit_ms += ms_since(t0);
+    benchmark::DoNotOptimize(policy_model.tree().node_count());
+    benchmark::DoNotOptimize(chunk_model.tree().node_count());
+  }
+  state.counters["materialize_ms"] = benchmark::Counter(materialize_ms, benchmark::Counter::kAvgIterations);
+  state.counters["label_ms"] = benchmark::Counter(label_ms, benchmark::Counter::kAvgIterations);
+  state.counters["fit_ms"] = benchmark::Counter(fit_ms, benchmark::Counter::kAvgIterations);
+  state.SetLabel("samples=" + std::to_string(rt.sample_buffer().size()));
+  rt.sample_buffer().set_capacity(online::kDefaultSampleCapacity);
+  rt.reset();
+}
+BENCHMARK(TrainFromSamples)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -18,22 +18,13 @@ std::vector<std::string> app_feature_names() {
 void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
                           const std::string& func, const instr::InstructionMix& mix,
                           const raja::IndexSet& iset) {
-  fill_kernel_features(record, loop_id, func, mix, iset.getLength(),
-                       static_cast<std::int64_t>(iset.getNumSegments()), iset.stride(),
-                       iset.type_name());
-}
-
-void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
-                          const std::string& func, const instr::InstructionMix& mix,
-                          std::int64_t num_indices, std::int64_t num_segments,
-                          std::int64_t stride, const std::string& index_type) {
   record[kFunc] = func;
   record[kFuncSize] = mix.total();
-  record[kIndexType] = index_type;
+  record[kIndexType] = iset.type_name();
   record[kLoopId] = loop_id;
-  record[kNumIndices] = num_indices;
-  record[kNumSegments] = num_segments;
-  record[kStride] = stride;
+  record[kNumIndices] = iset.getLength();
+  record[kNumSegments] = static_cast<std::int64_t>(iset.getNumSegments());
+  record[kStride] = iset.stride();
   for (std::size_t m = 0; m < instr::kMnemonicCount; ++m) {
     const auto mnemonic = static_cast<instr::Mnemonic>(m);
     record[instr::mnemonic_name(mnemonic)] = mix.count(mnemonic);

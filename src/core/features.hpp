@@ -56,12 +56,4 @@ void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id
                           const std::string& func, const instr::InstructionMix& mix,
                           const raja::IndexSet& iset);
 
-/// Same, from already-extracted index-set scalars. Used when the launch's
-/// record is materialized after the fact (online::Sample) and the IndexSet is
-/// no longer available.
-void fill_kernel_features(perf::SampleRecord& record, const std::string& loop_id,
-                          const std::string& func, const instr::InstructionMix& mix,
-                          std::int64_t num_indices, std::int64_t num_segments,
-                          std::int64_t stride, const std::string& index_type);
-
 }  // namespace apollo::features

@@ -1,5 +1,8 @@
 #include "core/model_snapshot.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "core/features.hpp"
 #include "core/kernel.hpp"
 #include "perf/blackboard.hpp"
@@ -47,46 +50,73 @@ CompiledModel CompiledModel::compile(TunerModel model) {
     }
     compiled.features_.push_back(std::move(feature));
   }
+
+  std::vector<bool> read(compiled.features_.size(), false);
+  for (const auto& node : model.tree().nodes()) {
+    if (node.feature >= 0) read[static_cast<std::size_t>(node.feature)] = true;
+  }
+  for (std::size_t f = 0; f < read.size(); ++f) {
+    if (read[f]) compiled.used_.push_back(f);
+  }
+
+  for (const auto& label : model.tree().label_names()) {
+    try {
+      switch (model.parameter()) {
+        case TunedParameter::Policy:
+          compiled.policies_.push_back(raja::policy_from_name(label));
+          break;
+        case TunedParameter::ChunkSize: compiled.chunks_.push_back(std::stoll(label)); break;
+        case TunedParameter::Threads:
+          compiled.threads_.push_back(static_cast<unsigned>(std::stoul(label)));
+          break;
+      }
+    } catch (const std::logic_error&) {
+      throw std::invalid_argument(std::string("CompiledModel: ") +
+                                  tuned_parameter_name(model.parameter()) + " label '" + label +
+                                  "' is not an integer");
+    }
+  }
   compiled.model_ = std::move(model);
   return compiled;
 }
 
+double CompiledModel::resolve(const CompiledFeature& feature, const KernelHandle& kernel,
+                              const raja::IndexSet& iset) const {
+  using Source = CompiledFeature::Source;
+  const auto categorical = [&](const std::string& text) {
+    auto it = feature.dictionary.find(text);
+    return it != feature.dictionary.end() ? it->second : -1.0;
+  };
+  switch (feature.source) {
+    case Source::Func: return categorical(kernel.func());
+    case Source::FuncSize: return static_cast<double>(kernel.mix().total());
+    case Source::IndexType: return categorical(iset.type_name());
+    case Source::LoopId: return categorical(kernel.loop_id());
+    case Source::NumIndices: return static_cast<double>(iset.getLength());
+    case Source::NumSegments: return static_cast<double>(iset.getNumSegments());
+    case Source::Stride: return static_cast<double>(iset.stride());
+    case Source::Mnemonic: return static_cast<double>(kernel.mix().count(feature.mnemonic));
+    case Source::App: {
+      const auto attr = perf::Blackboard::instance().get(feature.key);
+      if (!attr) return -1.0;
+      return attr->is_string() ? categorical(attr->as_string()) : attr->as_number();
+    }
+  }
+  return -1.0;
+}
+
 void CompiledModel::resolve_features(const KernelHandle& kernel, const raja::IndexSet& iset,
                                      std::vector<double>& scratch) const {
-  using Source = CompiledFeature::Source;
   scratch.resize(features_.size());
-  auto& board = perf::Blackboard::instance();
   for (std::size_t f = 0; f < features_.size(); ++f) {
-    const CompiledFeature& feature = features_[f];
-    double value = -1.0;
-    const auto categorical = [&](const std::string& text) {
-      auto it = feature.dictionary.find(text);
-      return it != feature.dictionary.end() ? it->second : -1.0;
-    };
-    switch (feature.source) {
-      case Source::Func: value = categorical(kernel.func()); break;
-      case Source::FuncSize: value = static_cast<double>(kernel.mix().total()); break;
-      case Source::IndexType: value = categorical(iset.type_name()); break;
-      case Source::LoopId: value = categorical(kernel.loop_id()); break;
-      case Source::NumIndices: value = static_cast<double>(iset.getLength()); break;
-      case Source::NumSegments: value = static_cast<double>(iset.getNumSegments()); break;
-      case Source::Stride: value = static_cast<double>(iset.stride()); break;
-      case Source::Mnemonic:
-        value = static_cast<double>(kernel.mix().count(feature.mnemonic));
-        break;
-      case Source::App: {
-        const auto attr = board.get(feature.key);
-        if (attr) value = attr->is_string() ? categorical(attr->as_string()) : attr->as_number();
-        break;
-      }
-    }
-    scratch[f] = value;
+    scratch[f] = resolve(features_[f], kernel, iset);
   }
 }
 
 int CompiledModel::predict(const KernelHandle& kernel, const raja::IndexSet& iset,
                            std::vector<double>& scratch) const {
-  resolve_features(kernel, iset, scratch);
+  scratch.resize(features_.size());
+  for (const std::size_t f : used_) scratch[f] = resolve(features_[f], kernel, iset);
   return predict_encoded(scratch.data());
 }
 

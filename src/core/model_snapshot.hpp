@@ -1,8 +1,8 @@
 #pragma once
 
 // Immutable compiled-model snapshots. A TunerModel is compiled once — feature
-// names resolved to fixed sources, categorical encodings to hash lookups —
-// into a CompiledModel; a ModelSnapshot groups the policy/chunk/threads
+// names resolved to fixed sources, categorical encodings to hash lookups,
+// label strings to parameter values — into a CompiledModel; a ModelSnapshot groups the policy/chunk/threads
 // models of one generation behind shared_ptrs. Snapshots are never mutated
 // after publication: the Runtime swaps a pointer to hand every application
 // thread a consistent model set with zero locks on the decision path (the
@@ -16,6 +16,7 @@
 
 #include "core/tuner_model.hpp"
 #include "instr/mix.hpp"
+#include "raja/policy.hpp"
 
 namespace raja {
 class IndexSet;
@@ -38,19 +39,24 @@ struct CompiledFeature {
   std::unordered_map<std::string, double> dictionary;  ///< categorical codes
 };
 
-/// A TunerModel plus its pre-resolved feature plan, built at publish time.
-/// Immutable after compile().
+/// A TunerModel plus its pre-resolved feature plan, built at publish time:
+/// which features the tree's splits read, and the parameter value each label
+/// names. Immutable after compile().
 class CompiledModel {
 public:
+  /// Throws std::invalid_argument when a chunk-size or threads label is not
+  /// an integer.
   [[nodiscard]] static CompiledModel compile(TunerModel model);
 
   /// Evaluate the model on this launch. `scratch` is the caller's feature
-  /// buffer (typically thread-local); after the call it holds exactly the
-  /// vector the tree saw, in feature_names() order.
+  /// buffer (typically thread-local), sized to feature_names(); only the
+  /// features the tree's splits read are resolved into it, the other slots
+  /// are left as they were.
   [[nodiscard]] int predict(const KernelHandle& kernel, const raja::IndexSet& iset,
                             std::vector<double>& scratch) const;
 
-  /// Resolve this launch's feature vector into `scratch` without predicting.
+  /// Resolve this launch's whole feature vector into `scratch` (feature_names()
+  /// order) without predicting.
   void resolve_features(const KernelHandle& kernel, const raja::IndexSet& iset,
                         std::vector<double>& scratch) const;
 
@@ -63,10 +69,31 @@ public:
   [[nodiscard]] const std::vector<CompiledFeature>& features() const noexcept {
     return features_;
   }
+  /// Indices of the features some split node reads, ascending.
+  [[nodiscard]] const std::vector<std::size_t>& used_features() const noexcept { return used_; }
+
+  /// The parameter value a label names; only the table matching
+  /// model().parameter() is filled.
+  [[nodiscard]] raja::PolicyType policy_of(int label) const {
+    return policies_[static_cast<std::size_t>(label)];
+  }
+  [[nodiscard]] std::int64_t chunk_of(int label) const {
+    return chunks_[static_cast<std::size_t>(label)];
+  }
+  [[nodiscard]] unsigned threads_of(int label) const {
+    return threads_[static_cast<std::size_t>(label)];
+  }
 
 private:
+  [[nodiscard]] double resolve(const CompiledFeature& feature, const KernelHandle& kernel,
+                               const raja::IndexSet& iset) const;
+
   TunerModel model_;
   std::vector<CompiledFeature> features_;
+  std::vector<std::size_t> used_;
+  std::vector<raja::PolicyType> policies_;
+  std::vector<std::int64_t> chunks_;
+  std::vector<unsigned> threads_;
 };
 
 /// One published generation of compiled tuning models. `version` is the

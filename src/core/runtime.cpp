@@ -462,15 +462,15 @@ void Runtime::apply_models(const ModelSnapshot* snapshot, ModelParams& params,
   if (snapshot->policy) {
     const int label = snapshot->policy->predict(kernel, iset, t_features);
     params.selection = label;
-    params.policy = raja::policy_from_name(snapshot->policy->model().label_name(label));
+    params.policy = snapshot->policy->policy_of(label);
   }
   if (snapshot->chunk && params.policy == raja::PolicyType::seq_segit_omp_parallel_for_exec) {
-    const int label = snapshot->chunk->predict(kernel, iset, t_features);
-    params.chunk_size = std::stoll(snapshot->chunk->model().label_name(label));
+    params.chunk_size =
+        snapshot->chunk->chunk_of(snapshot->chunk->predict(kernel, iset, t_features));
   }
   if (snapshot->threads && params.policy == raja::PolicyType::seq_segit_omp_parallel_for_exec) {
-    const int label = snapshot->threads->predict(kernel, iset, t_features);
-    params.threads = static_cast<unsigned>(std::stoul(snapshot->threads->model().label_name(label)));
+    params.threads =
+        snapshot->threads->threads_of(snapshot->threads->predict(kernel, iset, t_features));
   }
 }
 
@@ -540,11 +540,14 @@ void Runtime::maybe_capture_decision(const ModelSnapshot& snapshot, const ModelP
   const bool sampled =
       cfg.introspect_stride != 0 && t_introspect_tick++ % cfg.introspect_stride == 0;
   if (!sampled && !telemetry::DecisionLog::instance().sink_enabled()) return;
-  // Re-evaluate the policy model for this captured launch; t_features then
-  // holds exactly the vector the tree saw. The record is stamped with the
-  // generation that decided, not whatever is live when the launch ends.
+  // Re-evaluate the policy model for this captured launch over the whole
+  // feature vector (the decision itself resolves only the features the tree
+  // reads), so the record carries every feature's value. The record is
+  // stamped with the generation that decided, not whatever is live when the
+  // launch ends.
   const TunerModel& policy = snapshot.policy->model();
-  const int label = snapshot.policy->predict(kernel, iset, t_features);
+  snapshot.policy->resolve_features(kernel, iset, t_features);
+  const int label = snapshot.policy->predict_encoded(t_features.data());
   const auto& names = policy.tree().feature_names();
   telemetry::DecisionRecord& record = t_pending.record;
   record = telemetry::DecisionRecord{};
@@ -569,7 +572,7 @@ void Runtime::emit_record(const KernelHandle& kernel, const raja::IndexSet& iset
                           unsigned team) {
   // Capture, don't materialize: the full attribute-map record is built by
   // whoever consumes the sample (Retrainer background thread, records(),
-  // flush). The launch thread pays scalar copies, two short strings, and a
+  // flush). The launch thread pays scalar copies, three short strings, and a
   // pointer fetch of the blackboard snapshot.
   online::Sample sample;
   sample.loop_id = kernel.loop_id();

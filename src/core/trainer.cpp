@@ -1,6 +1,8 @@
 #include "core/trainer.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -18,16 +20,76 @@ struct RuntimeAccumulator {
   [[nodiscard]] double mean() const { return count > 0 ? sum / static_cast<double>(count) : 0.0; }
 };
 
-std::string record_param_value(const perf::SampleRecord& record, TunedParameter parameter) {
-  switch (parameter) {
-    case TunedParameter::Policy: return record.at(features::kParamPolicy).as_string();
-    case TunedParameter::ChunkSize:
-      return std::to_string(record.at(features::kParamChunk).as_int());
-    case TunedParameter::Threads:
-      return std::to_string(record.at(features::kParamThreads).as_int());
+/// A record kept for training, with the fields the labeling pass reads.
+struct UsableRecord {
+  const perf::SampleRecord* record;
+  const perf::Value* label;    ///< the tuned parameter's value in this record
+  const perf::Value* runtime;  ///< measure:runtime
+};
+
+/// Groups encoded rows by value and keeps them in first-seen order: an
+/// open-addressing table of group ids over the stored rows. Values compare
+/// with `==`, so -0.0 and 0.0 share a group as they do under `<`; NaN, which
+/// `==` never matches, groups with NaN.
+class RowGroups {
+public:
+  /// Group id of `row` (a new group, id == size() before the call, when
+  /// unseen; `added` says which).
+  std::size_t find_or_add(const std::vector<double>& row, bool& added) {
+    if ((rows_.size() + 1) * 2 > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t slot = hash(row) & mask;; slot = (slot + 1) & mask) {
+      if (slots_[slot] == 0) {
+        rows_.push_back(row);
+        slots_[slot] = rows_.size();
+        added = true;
+        return rows_.size() - 1;
+      }
+      if (same(rows_[slots_[slot] - 1], row)) {
+        added = false;
+        return slots_[slot] - 1;
+      }
+    }
   }
-  return {};
-}
+
+  [[nodiscard]] std::vector<std::vector<double>>& rows() noexcept { return rows_; }
+
+private:
+  static std::uint64_t hash(const std::vector<double>& row) noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (double value : row) {
+      if (value == 0.0) value = 0.0;  // -0.0 hashes as 0.0
+      std::uint64_t bits = 0x7ff8000000000000ULL;  // every NaN hashes alike
+      if (!std::isnan(value)) std::memcpy(&bits, &value, sizeof(bits));
+      h = (h ^ bits) * 0x100000001b3ULL;
+      h ^= h >> 29;
+    }
+    // splitmix64 finalizer: the table indexes by the low bits.
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return h ^ (h >> 31);
+  }
+
+  static bool same(const std::vector<double>& a, const std::vector<double>& b) noexcept {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i] && !(std::isnan(a[i]) && std::isnan(b[i]))) return false;
+    }
+    return true;
+  }
+
+  void grow() {
+    slots_.assign(std::max<std::size_t>(64, slots_.size() * 2), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t g = 0; g < rows_.size(); ++g) {
+      std::size_t slot = hash(rows_[g]) & mask;
+      while (slots_[slot] != 0) slot = (slot + 1) & mask;
+      slots_[slot] = g + 1;
+    }
+  }
+
+  std::vector<std::vector<double>> rows_;
+  std::vector<std::size_t> slots_;  ///< group id + 1; 0 marks an empty slot
+};
 
 }  // namespace
 
@@ -75,143 +137,183 @@ double LabeledData::total_runtime_predicted(const std::vector<int>& predictions)
 
 LabeledData Trainer::build_labeled_data(const std::vector<perf::SampleRecord>& records,
                                         TunedParameter parameter) {
-  // Chunk-size models only make sense over OpenMP executions.
-  std::vector<const perf::SampleRecord*> usable;
+  // One in-order walk of each record finds its parameter and runtime values
+  // and its feature entries. Usable records then add to the feature schema
+  // (union of non-meta keys, sorted for stability), the categories of every
+  // feature that ever carries a string, and the label vocabulary. Records and
+  // the schema are both sorted maps, so each record merge-walks the schema.
+  std::vector<UsableRecord> usable;
   usable.reserve(records.size());
+  std::map<std::string, std::set<std::string>> schema;
+  std::set<std::string> policy_labels;
+  std::set<std::int64_t> numeric_labels;
+  std::vector<const perf::SampleRecord::value_type*> entries;
   for (const auto& record : records) {
-    if (!record.count(features::kMeasureRuntime)) continue;
-    const auto policy_it = record.find(features::kParamPolicy);
-    const auto chunk_it = record.find(features::kParamChunk);
-    const auto threads_it = record.find(features::kParamThreads);
-    const bool is_omp = policy_it == record.end() || policy_it->second.as_string() == "omp";
-    const bool default_chunk = chunk_it == record.end() || chunk_it->second.as_int() <= 0;
+    const perf::Value* runtime = nullptr;
+    const perf::Value* policy = nullptr;
+    const perf::Value* chunk = nullptr;
+    const perf::Value* threads = nullptr;
+    entries.clear();
+    for (const auto& entry : record) {
+      if (!features::is_meta_key(entry.first)) {
+        entries.push_back(&entry);
+      } else if (entry.first == features::kMeasureRuntime) {
+        runtime = &entry.second;
+      } else if (entry.first == features::kParamPolicy) {
+        policy = &entry.second;
+      } else if (entry.first == features::kParamChunk) {
+        chunk = &entry.second;
+      } else if (entry.first == features::kParamThreads) {
+        threads = &entry.second;
+      }
+    }
+    if (runtime == nullptr) continue;
+    // Chunk-size models only make sense over OpenMP executions.
+    const bool is_omp = policy == nullptr || policy->as_string() == "omp";
+    const bool default_chunk = chunk == nullptr || chunk->as_int() <= 0;
+    const perf::Value* label = nullptr;
     switch (parameter) {
       case TunedParameter::Policy:
         // Policy labels compare seq against OpenMP at the *default* schedule
         // and team size; sweep samples of the other parameters are excluded.
-        if (policy_it == record.end() || !default_chunk) continue;
-        if (threads_it != record.end() && policy_it->second.as_string() == "omp" &&
-            threads_it->second.as_int() > 0) {
+        if (policy == nullptr || !default_chunk) continue;
+        if (threads != nullptr && policy->as_string() == "omp" && threads->as_int() > 0) {
           continue;  // explicit team-size sample, not the default
         }
+        label = policy;
+        policy_labels.insert(label->as_string());
         break;
       case TunedParameter::ChunkSize:
         // Chunk models choose among the explicit values (paper: 1..1024) on
         // OpenMP executions; the default-schedule sample is not a label.
-        if (chunk_it == record.end() || chunk_it->second.as_int() <= 0 || !is_omp) continue;
+        if (chunk == nullptr || chunk->as_int() <= 0 || !is_omp) continue;
+        label = chunk;
+        numeric_labels.insert(label->as_int());
         break;
       case TunedParameter::Threads:
         // Team-size models: OpenMP at the default schedule, explicit teams.
-        if (threads_it == record.end() || threads_it->second.as_int() <= 0 || !is_omp ||
-            !default_chunk) {
-          continue;
-        }
+        if (threads == nullptr || threads->as_int() <= 0 || !is_omp || !default_chunk) continue;
+        label = threads;
+        numeric_labels.insert(label->as_int());
         break;
     }
-    usable.push_back(&record);
+    usable.push_back(UsableRecord{&record, label, runtime});
+
+    auto column = schema.begin();
+    for (const auto* entry : entries) {
+      while (column != schema.end() && column->first < entry->first) ++column;
+      if (column == schema.end() || column->first != entry->first) {
+        column = schema.emplace_hint(column, entry->first, std::set<std::string>{});
+      }
+      if (entry->second.is_string()) column->second.insert(entry->second.as_string());
+      ++column;
+    }
   }
   if (usable.empty()) throw std::invalid_argument("Trainer: no usable training records");
 
-  // Feature schema: union of non-meta keys, sorted for stability.
-  std::set<std::string> key_set;
-  for (const auto* record : usable) {
-    for (const auto& [key, value] : *record) {
-      if (!features::is_meta_key(key)) key_set.insert(key);
-    }
-  }
-  const std::vector<std::string> feature_keys(key_set.begin(), key_set.end());
-
-  // Categorical dictionaries: every feature that ever carries a string.
   LabeledData data;
-  for (const auto& key : feature_keys) {
-    std::set<std::string> categories;
-    bool is_categorical = false;
-    for (const auto* record : usable) {
-      auto it = record->find(key);
-      if (it != record->end() && it->second.is_string()) {
-        is_categorical = true;
-        categories.insert(it->second.as_string());
-      }
-    }
-    if (is_categorical) {
-      data.dictionaries[key] = std::vector<std::string>(categories.begin(), categories.end());
+  std::vector<std::string> feature_keys;
+  feature_keys.reserve(schema.size());
+  // Per column: the sorted categories, or null for a numeric feature.
+  std::vector<const std::vector<std::string>*> column_categories;
+  column_categories.reserve(schema.size());
+  for (auto& [key, categories] : schema) {
+    feature_keys.push_back(key);
+    if (categories.empty()) {
+      column_categories.push_back(nullptr);
+    } else {
+      auto& dictionary = data.dictionaries[key];
+      dictionary.assign(categories.begin(), categories.end());
+      column_categories.push_back(&dictionary);
     }
   }
 
   // Label vocabulary (sorted: "omp"<"seq" lexicographically for policy;
-  // numeric ascending for chunk sizes).
+  // numeric ascending for chunk sizes and team sizes).
   std::vector<std::string> label_values;
-  {
-    std::set<std::string> values;
-    for (const auto* record : usable) values.insert(record_param_value(*record, parameter));
-    label_values.assign(values.begin(), values.end());
-    if (parameter != TunedParameter::Policy) {  // numeric label vocabularies
-      std::sort(label_values.begin(), label_values.end(),
-                [](const std::string& a, const std::string& b) { return std::stoll(a) < std::stoll(b); });
-    }
+  if (parameter == TunedParameter::Policy) {
+    label_values.assign(policy_labels.begin(), policy_labels.end());
+  } else {
+    for (const std::int64_t value : numeric_labels) label_values.push_back(std::to_string(value));
   }
-  const auto label_index = [&](const std::string& value) {
-    auto it = std::find(label_values.begin(), label_values.end(), value);
-    return static_cast<int>(it - label_values.begin());
-  };
-
-  const auto encode = [&](const std::string& key, const perf::SampleRecord& record) -> double {
-    auto it = record.find(key);
-    if (it == record.end()) return -1.0;
-    if (!it->second.is_string()) return it->second.as_number();
-    const auto& categories = data.dictionaries.at(key);
-    auto cat = std::find(categories.begin(), categories.end(), it->second.as_string());
-    return static_cast<double>(cat - categories.begin());
-  };
-
-  // Group samples by encoded feature vector.
-  std::map<std::vector<double>, std::size_t> group_of;
-  std::vector<std::map<int, RuntimeAccumulator>> accumulators;
-  std::vector<std::vector<double>> group_features;
-  std::vector<std::string> group_loop_ids;
-  std::vector<std::int64_t> group_counts;
-
-  for (const auto* record : usable) {
-    std::vector<double> row;
-    row.reserve(feature_keys.size());
-    for (const auto& key : feature_keys) row.push_back(encode(key, *record));
-
-    auto [it, inserted] = group_of.try_emplace(row, accumulators.size());
-    if (inserted) {
-      accumulators.emplace_back();
-      group_features.push_back(row);
-      auto loop_it = record->find(features::kLoopId);
-      group_loop_ids.push_back(loop_it != record->end() ? loop_it->second.as_string() : "");
-      group_counts.push_back(0);
+  const std::vector<std::int64_t> numeric_values(numeric_labels.begin(), numeric_labels.end());
+  const auto label_index = [&](const perf::Value& value) -> std::size_t {
+    if (parameter == TunedParameter::Policy) {
+      return static_cast<std::size_t>(
+          std::lower_bound(label_values.begin(), label_values.end(), value.as_string()) -
+          label_values.begin());
     }
-    const std::size_t group = it->second;
-    auto& acc = accumulators[group][label_index(record_param_value(*record, parameter))];
-    acc.sum += record->at(features::kMeasureRuntime).as_number();
+    return static_cast<std::size_t>(
+        std::lower_bound(numeric_values.begin(), numeric_values.end(), value.as_int()) -
+        numeric_values.begin());
+  };
+
+  // Encode each record by merge-walking it against the sorted feature keys
+  // (absent features encode -1, strings their dictionary code), then group
+  // samples by encoded feature vector. Accumulators are flat: one slot per
+  // (group, label).
+  const std::size_t num_labels = label_values.size();
+  RowGroups groups;
+  std::vector<RuntimeAccumulator> accumulators;
+  std::vector<std::string> group_loop_ids;
+  std::vector<double> row(feature_keys.size());
+  for (const UsableRecord& use : usable) {
+    const perf::SampleRecord& record = *use.record;
+    auto entry = record.begin();
+    for (std::size_t f = 0; f < feature_keys.size(); ++f) {
+      while (entry != record.end() && entry->first < feature_keys[f]) ++entry;
+      double value = -1.0;
+      if (entry != record.end() && entry->first == feature_keys[f]) {
+        if (!entry->second.is_string()) {
+          value = entry->second.as_number();
+        } else {
+          const auto& categories = *column_categories[f];
+          value = static_cast<double>(std::lower_bound(categories.begin(), categories.end(),
+                                                       entry->second.as_string()) -
+                                      categories.begin());
+        }
+        ++entry;
+      }
+      row[f] = value;
+    }
+
+    bool added = false;
+    const std::size_t group = groups.find_or_add(row, added);
+    if (added) {
+      accumulators.resize(accumulators.size() + num_labels);
+      auto loop_it = record.find(features::kLoopId);
+      group_loop_ids.push_back(loop_it != record.end() ? loop_it->second.as_string() : "");
+    }
+    auto& acc = accumulators[group * num_labels + label_index(*use.label)];
+    acc.sum += use.runtime->as_number();
     acc.count += 1;
   }
 
   // Each group contributed `count` samples across parameter variants; the
   // number of *launches* it represents is the max samples seen for any one
   // variant (a full sweep measures each variant once per launch).
-  data.dataset = ml::Dataset(feature_keys, label_values);
-  data.runtimes.reserve(accumulators.size());
-  for (std::size_t g = 0; g < accumulators.size(); ++g) {
+  data.dataset = ml::Dataset(std::move(feature_keys), std::move(label_values));
+  auto& group_features = groups.rows();
+  data.runtimes.reserve(group_features.size());
+  for (std::size_t g = 0; g < group_features.size(); ++g) {
     int best_label = -1;
     double best_runtime = std::numeric_limits<double>::max();
     std::map<int, double> means;
     std::int64_t launches = 1;
-    for (const auto& [label, acc] : accumulators[g]) {
+    for (std::size_t label = 0; label < num_labels; ++label) {
+      const RuntimeAccumulator& acc = accumulators[g * num_labels + label];
+      if (acc.count == 0) continue;
       const double mean = acc.mean();
-      means[label] = mean;
+      means.emplace_hint(means.end(), static_cast<int>(label), mean);
       launches = std::max(launches, acc.count);
       if (mean < best_runtime) {
         best_runtime = mean;
-        best_label = label;
+        best_label = static_cast<int>(label);
       }
     }
-    data.dataset.add_row(group_features[g], best_label);
+    data.dataset.add_row(std::move(group_features[g]), best_label);
     data.runtimes.push_back(std::move(means));
-    data.row_loop_ids.push_back(group_loop_ids[g]);
+    data.row_loop_ids.push_back(std::move(group_loop_ids[g]));
     data.row_counts.push_back(launches);
   }
   return data;

@@ -44,7 +44,9 @@ class Trainer {
 public:
   /// Build the labeled dataset for one tuned parameter. Policy uses every
   /// sample; ChunkSize uses only OpenMP samples (chunking is meaningless for
-  /// sequential execution).
+  /// sequential execution). Samples group by encoded feature vector in
+  /// first-seen order; values compare with `==` (so -0.0 and 0.0 share a
+  /// row, which keeps the first-seen sign), except that NaN matches NaN.
   [[nodiscard]] static LabeledData build_labeled_data(
       const std::vector<perf::SampleRecord>& records, TunedParameter parameter);
 

@@ -1,7 +1,9 @@
 #include "online/sample_buffer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <string>
 #include <utility>
 
 #include "core/features.hpp"
@@ -34,17 +36,96 @@ BufferTelemetry& buffer_telemetry() {
   return handles;
 }
 
+/// The 42 keys a Sample always fills, in the record map's key order, each
+/// with the Sample field it comes from. Built once.
+struct FixedKey {
+  enum class Field : std::uint8_t {
+    Func, FuncSize, IndexType, LoopId, NumIndices, NumSegments, Stride, Mnemonic,
+    Policy, Chunk, Threads, BytesPerIter, Runtime
+  };
+  std::string key;
+  Field field;
+  instr::Mnemonic mnemonic = instr::Mnemonic::count_;
+};
+
+const std::vector<FixedKey>& fixed_keys() {
+  using Field = FixedKey::Field;
+  static const std::vector<FixedKey> plan = [] {
+    std::vector<FixedKey> keys = {
+        {features::kFunc, Field::Func},
+        {features::kFuncSize, Field::FuncSize},
+        {features::kIndexType, Field::IndexType},
+        {features::kLoopId, Field::LoopId},
+        {features::kNumIndices, Field::NumIndices},
+        {features::kNumSegments, Field::NumSegments},
+        {features::kStride, Field::Stride},
+        {features::kParamPolicy, Field::Policy},
+        {features::kParamChunk, Field::Chunk},
+        {features::kParamThreads, Field::Threads},
+        {features::kMeasureBytesPerIter, Field::BytesPerIter},
+        {features::kMeasureRuntime, Field::Runtime}};
+    for (std::size_t m = 0; m < instr::kMnemonicCount; ++m) {
+      const auto mnemonic = static_cast<instr::Mnemonic>(m);
+      keys.push_back({instr::mnemonic_name(mnemonic), Field::Mnemonic, mnemonic});
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const FixedKey& a, const FixedKey& b) { return a.key < b.key; });
+    return keys;
+  }();
+  return plan;
+}
+
 }  // namespace
 
 perf::SampleRecord Sample::materialize() const {
-  perf::SampleRecord record = app ? *app : perf::SampleRecord{};
-  features::fill_kernel_features(record, loop_id, func, mix, num_indices, num_segments, stride,
-                                 index_type);
-  record[features::kParamPolicy] = raja::policy_name(policy);
-  record[features::kParamChunk] = chunk;
-  if (threads > 0) record[features::kParamThreads] = static_cast<std::int64_t>(threads);
-  if (bytes_per_iter > 0) record[features::kMeasureBytesPerIter] = bytes_per_iter;
-  record[features::kMeasureRuntime] = seconds;
+  using Field = FixedKey::Field;
+  // Merge the blackboard snapshot with the fixed keys, both in key order, so
+  // every node is appended at the end of the map. A fixed key overwrites an
+  // app attribute of the same name, except threads and bytes/iter, which a
+  // Sample only fills when nonzero.
+  perf::SampleRecord record;
+  static const perf::SampleRecord kNoApp;
+  const perf::SampleRecord& attributes = app ? *app : kNoApp;
+  auto attr = attributes.begin();
+  const auto append_attributes_before = [&](const std::string* key) {
+    for (; attr != attributes.end() && (key == nullptr || attr->first < *key); ++attr) {
+      record.emplace_hint(record.end(), *attr);
+    }
+  };
+  for (const FixedKey& fixed : fixed_keys()) {
+    append_attributes_before(&fixed.key);
+    perf::Value value;
+    bool filled = true;
+    switch (fixed.field) {
+      case Field::Func: value = func; break;
+      case Field::FuncSize: value = mix.total(); break;
+      case Field::IndexType: value = index_type; break;
+      case Field::LoopId: value = loop_id; break;
+      case Field::NumIndices: value = num_indices; break;
+      case Field::NumSegments: value = num_segments; break;
+      case Field::Stride: value = stride; break;
+      case Field::Mnemonic: value = mix.count(fixed.mnemonic); break;
+      case Field::Policy: value = raja::policy_name(policy); break;
+      case Field::Chunk: value = chunk; break;
+      case Field::Threads:
+        filled = threads > 0;
+        value = static_cast<std::int64_t>(threads);
+        break;
+      case Field::BytesPerIter:
+        filled = bytes_per_iter > 0;
+        value = bytes_per_iter;
+        break;
+      case Field::Runtime: value = seconds; break;
+    }
+    const bool shadowed = attr != attributes.end() && attr->first == fixed.key;
+    if (filled) {
+      record.emplace_hint(record.end(), fixed.key, std::move(value));
+    } else if (shadowed) {
+      record.emplace_hint(record.end(), *attr);
+    }
+    if (shadowed) ++attr;
+  }
+  append_attributes_before(nullptr);
   return record;
 }
 

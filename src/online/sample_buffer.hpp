@@ -7,11 +7,13 @@
 // overwrites the oldest.
 //
 // Samples are stored *unmaterialized*: a compact Sample struct of scalars,
-// two short strings, and a shared pointer to the blackboard snapshot.
-// Building the full attribute-map SampleRecord (~20 string-keyed map inserts)
-// costs microseconds and is deferred to whoever consumes the sample — the
-// background Retrainer, a records-file flush, or a test — so the producing
-// application thread pays only a small allocation per recorded launch.
+// three strings (loop id, function, index-set type), the instruction mix, and
+// a shared pointer to the blackboard snapshot. Building the full
+// attribute-map SampleRecord (42 fixed keys merged with the app attributes,
+// ~46 map nodes) costs several microseconds and is deferred to whoever
+// consumes the sample — the background Retrainer, a records-file flush, or a
+// test — so the producing application thread pays only a small allocation
+// per recorded launch.
 
 #include <atomic>
 #include <cstddef>
@@ -52,7 +54,11 @@ struct Sample {
   unsigned threads = 0;
   double seconds = 0.0;
 
-  /// Build the full attribute-map record (the expensive part; consumer-side).
+  /// Build the full attribute-map record (the expensive part; consumer-side):
+  /// the app snapshot plus the kernel features, parameters and measurement.
+  /// The Sample's value wins over an app attribute of the same name, except
+  /// that param:threads and measure:bytes_per_iter are only written when
+  /// nonzero.
   [[nodiscard]] perf::SampleRecord materialize() const;
 };
 

@@ -678,6 +678,75 @@ TEST_F(RuntimeTest, DecisionRecordStampsTheGenerationThatDecided) {
   fs::remove_all(dir);
 }
 
+TEST_F(RuntimeTest, SampledDecisionCarriesEveryFeatureNotOnlyTheOnesTheTreeReads) {
+  // The decision resolves only the features the tree's splits read; a
+  // sampled DecisionRecord must still carry the whole feature vector, each
+  // value equal to what TunerModel::encode gives for the launch's raw value.
+  std::vector<std::string> names = features::kernel_feature_names();
+  names.push_back(features::kTimestep);
+  names.push_back(features::kProblemName);
+  const std::size_t split =
+      std::find(names.begin(), names.end(), features::kNumIndices) - names.begin();
+  std::stringstream io;
+  io << "apollo-tree 1\nfeatures " << names.size();
+  for (const auto& name : names) io << ' ' << name;
+  io << "\nlabels 2 omp seq\nnodes 3\n"
+     << split << " 1000 1 2 1 2 0.5\n"
+     << "-1 0 -1 -1 1 1 0\n"
+     << "-1 0 -1 -1 0 1 0\n";
+  const raja::IndexSet iset = raja::IndexSet::range(0, 100);
+  const TunerModel model(TunedParameter::Policy, ml::DecisionTree::load(io),
+                         {{features::kFunc, {small_kernel().func()}},
+                          {features::kIndexType, {iset.type_name()}},
+                          {features::kLoopId, {"other", small_kernel().loop_id()}},
+                          {features::kProblemName, {"sedov", "sod"}}});
+  EXPECT_EQ(CompiledModel::compile(model).used_features(), std::vector<std::size_t>{split});
+
+  telemetry::reset_for_testing();
+  telemetry::Config config;
+  config.trace_file.clear();
+  config.decisions_file.clear();
+  config.introspect_stride = 1;
+  config.probe_stride = 0;
+  telemetry::configure(config);
+  telemetry::set_enabled(true);
+  auto& rt = Runtime::instance();
+  rt.set_mode(Mode::Tune);
+  rt.set_policy_model(model);
+  const perf::ScopedAnnotation timestep(features::kTimestep, std::int64_t{7});
+  const perf::ScopedAnnotation problem(features::kProblemName, "sod");
+  forall(small_kernel(), iset, [](raja::Index) {});
+
+  perf::SampleRecord raw;
+  features::fill_kernel_features(raw, small_kernel().loop_id(), small_kernel().func(),
+                                 small_kernel().mix(), iset);
+  raw[features::kTimestep] = std::int64_t{7};
+  raw[features::kProblemName] = "sod";
+  const auto records = telemetry::DecisionLog::instance().snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].label, "seq");
+  ASSERT_EQ(records[0].features.size(), names.size());
+  for (std::size_t f = 0; f < names.size(); ++f) {
+    EXPECT_EQ(records[0].features[f].first, names[f]);
+    EXPECT_EQ(records[0].features[f].second, model.encode(names[f], raw.at(names[f])))
+        << names[f];
+  }
+  EXPECT_EQ(records[0].features[split].second, 100.0);
+
+  telemetry::set_enabled(false);
+  telemetry::reset_for_testing();
+  telemetry::configure(telemetry::Config{});
+}
+
+TEST_F(RuntimeTest, NonIntegerChunkLabelIsRejectedAtPublish) {
+  // Label strings are parsed once when a model is compiled, so a chunk-size
+  // model whose label is not an integer fails at publish, not at a launch.
+  std::stringstream io;
+  io << "apollo-tree 1\nfeatures 1 num_indices\nlabels 1 big\nnodes 1\n-1 0 -1 -1 0 1 0\n";
+  const TunerModel model(TunedParameter::ChunkSize, ml::DecisionTree::load(io), {});
+  EXPECT_THROW(Runtime::instance().set_chunk_model(model), std::invalid_argument);
+}
+
 TEST(RuntimeEnvKnobs, GarbageValuesWarnAndKeepDefaults) {
   // APOLLO_SAMPLE_CAPACITY routes through the hardened env parser the
   // Runtime constructor uses: garbage (and 0, below the minimum) warns and

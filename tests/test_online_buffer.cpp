@@ -34,6 +34,29 @@ double seconds_of(const apollo::perf::SampleRecord& record) {
   return record.at(features::kMeasureRuntime).as_real();
 }
 
+/// Reference materialization: copy the app snapshot, then write every fixed
+/// key with operator[] (threads and bytes/iter only when nonzero).
+apollo::perf::SampleRecord reference_materialize(const Sample& s) {
+  apollo::perf::SampleRecord record = s.app ? *s.app : apollo::perf::SampleRecord{};
+  record[features::kFunc] = s.func;
+  record[features::kFuncSize] = s.mix.total();
+  record[features::kIndexType] = s.index_type;
+  record[features::kLoopId] = s.loop_id;
+  record[features::kNumIndices] = s.num_indices;
+  record[features::kNumSegments] = s.num_segments;
+  record[features::kStride] = s.stride;
+  for (std::size_t m = 0; m < apollo::instr::kMnemonicCount; ++m) {
+    const auto mnemonic = static_cast<apollo::instr::Mnemonic>(m);
+    record[apollo::instr::mnemonic_name(mnemonic)] = s.mix.count(mnemonic);
+  }
+  record[features::kParamPolicy] = raja::policy_name(s.policy);
+  record[features::kParamChunk] = s.chunk;
+  if (s.threads > 0) record[features::kParamThreads] = static_cast<std::int64_t>(s.threads);
+  if (s.bytes_per_iter > 0) record[features::kMeasureBytesPerIter] = s.bytes_per_iter;
+  record[features::kMeasureRuntime] = s.seconds;
+  return record;
+}
+
 }  // namespace
 
 TEST(SampleBuffer, GrowsThenWrapsKeepingNewest) {
@@ -113,6 +136,69 @@ TEST(SampleBuffer, MaterializeBuildsFullRecord) {
 
   // threads == 0 (the common case) must not invent a threads parameter.
   EXPECT_EQ(make_sample(0).materialize().count(features::kParamThreads), 0u);
+}
+
+TEST(SampleBuffer, MaterializeMatchesOperatorIndexReference) {
+  using apollo::perf::SampleRecord;
+  using apollo::perf::Value;
+  Sample base = make_sample(5);
+  base.mix = apollo::instr::MixBuilder{}.fp(6).div(1).load(4).store(2).control(3).build();
+  base.bytes_per_iter = 24;
+  base.threads = 2;
+  base.chunk = 64;
+  base.policy = raja::PolicyType::seq_segit_omp_parallel_for_exec;
+
+  // App attributes named like fixed keys: the Sample's value wins.
+  const SampleRecord shadowing = {{features::kFunc, "app-func"},
+                                  {features::kNumIndices, 1},
+                                  {features::kParamPolicy, "app-policy"},
+                                  {features::kMeasureRuntime, 9.5}};
+  // Keys sorting before the first fixed key ("add"), between fixed keys, and
+  // after the last ("xorps").
+  const SampleRecord interleaved = {{"aaa", 1},
+                                    {"cmp_extra", "x"},
+                                    {"measure:other", 2.5},
+                                    {"param:zz", 3},
+                                    {features::kProblemName, "sedov"},
+                                    {features::kTimestep, 4},
+                                    {"zzz", "last"}};
+  // threads/bytes-per-iter set by the app survive when the Sample has 0.
+  const SampleRecord zero_fields = {{features::kParamThreads, 8},
+                                    {features::kMeasureBytesPerIter, 40}};
+
+  std::vector<Sample> cases;
+  cases.push_back(base);  // null snapshot
+  for (const SampleRecord* app : {&shadowing, &interleaved, &zero_fields}) {
+    Sample s = base;
+    s.app = std::make_shared<const SampleRecord>(*app);
+    cases.push_back(s);
+    s.threads = 0;
+    s.bytes_per_iter = 0;
+    cases.push_back(s);
+  }
+  SampleRecord merged = shadowing;
+  merged.insert(interleaved.begin(), interleaved.end());
+  merged.insert(zero_fields.begin(), zero_fields.end());
+  Sample all = base;
+  all.threads = 0;
+  all.bytes_per_iter = 0;
+  all.app = std::make_shared<const SampleRecord>(merged);
+  cases.push_back(all);
+  cases.push_back(Sample{});  // all defaults, null snapshot
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const SampleRecord expected = reference_materialize(cases[c]);
+    const SampleRecord actual = cases[c].materialize();
+    EXPECT_EQ(actual, expected) << "case " << c;
+    EXPECT_EQ(actual.size(), expected.size()) << "case " << c;
+  }
+  // Spot-check the two rules the merge must keep.
+  const SampleRecord app_wins = cases[6].materialize();  // zero_fields, threads/bytes 0
+  EXPECT_EQ(app_wins.at(features::kParamThreads), Value(8));
+  EXPECT_EQ(app_wins.at(features::kMeasureBytesPerIter), Value(40));
+  const SampleRecord sample_wins = cases[1].materialize();  // shadowing
+  EXPECT_EQ(sample_wins.at(features::kFunc).as_string(), "BufferKernel");
+  EXPECT_EQ(sample_wins.at(features::kParamPolicy).as_string(), "omp");
 }
 
 TEST(SampleBuffer, DrainIntoAppendsInOrderAndEmpties) {
