@@ -38,6 +38,10 @@ struct PendingLaunch {
   /// Hardware-counter window opened by begin() on the profiling stride
   /// (APOLLO_HW_STRIDE); closed and aggregated by end().
   bool hw_armed = false;
+  /// online::feature_bucket of the launch, computed once by begin() for the
+  /// tuned modes that need it (Adapt always, Tune with telemetry on): the
+  /// explorer's guard, the quality baselines and the Adapt tail all read it.
+  std::uint64_t bucket = 0;
 };
 thread_local PendingLaunch t_pending;
 
@@ -794,14 +798,15 @@ ModelParams Runtime::begin(KernelContext& context, const KernelHandle& kernel,
       break;
     case Mode::Tune:
       tuned_decision(context, current_models().get(), params, kernel, iset, telem);
+      if (telem) t_pending.bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
       break;
     case Mode::Adapt: {
       tuned_decision(context, refresh_adapt_models().get(), params, kernel, iset, telem);
-      const auto bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
+      t_pending.bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
       std::optional<online::Variant> explored;
       {
         const std::lock_guard<std::mutex> lock(online_mutex_);
-        explored = online_locked().maybe_explore(kernel.loop_id(), bucket);
+        explored = online_locked().maybe_explore(kernel.loop_id(), t_pending.bucket);
       }
       if (explored) {
         params.policy = explored->policy;
@@ -860,10 +865,9 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   }
 
   const char* trace_name = nullptr;
-  std::uint64_t bucket = 0;
+  const std::uint64_t bucket = t_pending.bucket;
   bool probe_armed = false;
   online::Variant probe_variant{};
-  if (telem && tuned) bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
   if (telem) {
     // Per-kernel lock: concurrent launches of *different* kernels never
     // serialize here.
@@ -996,7 +1000,6 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
   }
 
   if (mode == Mode::Adapt) {
-    const auto adapt_bucket = online::feature_bucket(iset.getLength(), iset.getNumSegments());
     // One lock for the whole Adapt tail: the tuner's bookkeeping methods are
     // single-threaded by contract (see OnlineTuner), and the retrain itself
     // runs on the Retrainer's background thread, so this stays short.
@@ -1008,7 +1011,7 @@ void Runtime::end(KernelContext& context, const KernelHandle& kernel, const raja
     if (params.explored || tuner.should_record_sample()) {
       emit_record(kernel, iset, params.policy, params.chunk_size, seconds, params.threads);
     }
-    tuner.observe(kernel.loop_id(), adapt_bucket,
+    tuner.observe(kernel.loop_id(), bucket,
                   online::Variant{params.policy, params.chunk_size}, seconds, params.explored);
     tuner.maybe_retrain();
     return;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 
 namespace apollo::online {
 
@@ -17,23 +18,31 @@ DriftDetector::DriftDetector(DriftConfig config) : config_(config) {}
 void DriftDetector::observe(std::uint64_t bucket, std::uint64_t variant, double seconds,
                             bool chosen) {
   auto& variants = baselines_[bucket];
-  auto& baseline = variants[variant];
-  if (baseline.seeded) {
-    baseline.value += config_.baseline_alpha * (seconds - baseline.value);
+  auto& own = variants[variant];
+  if (own.count > 0) {
+    own.dev += config_.baseline_alpha * (std::abs(seconds - own.mean) - own.dev);
+    own.mean += config_.baseline_alpha * (seconds - own.mean);
   } else {
-    baseline.value = seconds;
-    baseline.seeded = true;
+    own.mean = seconds;
   }
+  ++own.count;
   if (!chosen) return;
 
-  // Regret of the chosen variant against the best variant seen recently in
-  // this bucket. With a single observed variant there is no evidence of a
-  // better alternative, so regret is zero by construction.
-  double best = baseline.value;
+  // Regret of the chosen variant's baseline against the best *other*
+  // variant's, net of both deviation bands: per-launch noise moves a mean by
+  // less than its band, so only a persistent gap between baselines scores.
+  // With no other variant observed there is no evidence of a better
+  // alternative, so regret is zero by construction.
+  const Baseline* best = nullptr;
   for (const auto& [id, other] : variants) {
-    if (other.seeded) best = std::min(best, other.value);
+    if (id != variant && other.count > 0 && (best == nullptr || other.mean < best->mean)) {
+      best = &other;
+    }
   }
-  const double regret = best > 0.0 ? std::max(0.0, seconds / best - 1.0) : 0.0;
+  const double regret =
+      best != nullptr && best->mean > 0.0
+          ? std::max(0.0, own.mean - best->mean - (own.dev + best->dev)) / best->mean
+          : 0.0;
   if (config_.window == 0) return;
   if (regrets_.size() < config_.window) {
     regrets_.push_back(regret);
@@ -68,16 +77,16 @@ double DriftDetector::baseline(std::uint64_t bucket, std::uint64_t variant) cons
   const auto bucket_it = baselines_.find(bucket);
   if (bucket_it == baselines_.end()) return -1.0;
   const auto variant_it = bucket_it->second.find(variant);
-  if (variant_it == bucket_it->second.end() || !variant_it->second.seeded) return -1.0;
-  return variant_it->second.value;
+  if (variant_it == bucket_it->second.end() || variant_it->second.count == 0) return -1.0;
+  return variant_it->second.mean;
 }
 
 double DriftDetector::best_baseline(std::uint64_t bucket) const noexcept {
   const auto bucket_it = baselines_.find(bucket);
   if (bucket_it == baselines_.end()) return -1.0;
   double best = -1.0;
-  for (const auto& [variant, ewma] : bucket_it->second) {
-    if (ewma.seeded && (best < 0.0 || ewma.value < best)) best = ewma.value;
+  for (const auto& [variant, stats] : bucket_it->second) {
+    if (stats.count > 0 && (best < 0.0 || stats.mean < best)) best = stats.mean;
   }
   return best;
 }

@@ -122,7 +122,7 @@ TEST(SoftwareProvider, DeterministicRatiosFromCpuTime) {
   ASSERT_TRUE(provider->begin_window());
   // Burn a little CPU so the window is comfortably nonzero.
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   hwprof::HwSample sample;
   ASSERT_TRUE(provider->end_window(sample));
 
@@ -164,7 +164,7 @@ TEST(PerfProvider, GroupedCountersDeliverScaledDeltas) {
 
   ASSERT_TRUE(provider->begin_window());
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 100000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   hwprof::HwSample sample;
   ASSERT_TRUE(provider->end_window(sample));
   EXPECT_GT(sample.count(Event::Instructions), 0u) << "a real loop retires instructions";
@@ -441,7 +441,9 @@ void run_chain(hwprof::ProviderKind provider, const std::string& kernel_name) {
       found = true;
       report_windows += row.windows;
       EXPECT_FALSE(row.variant.empty());
-      if (provider == hwprof::ProviderKind::Software) EXPECT_DOUBLE_EQ(row.ipc(), 1.0);
+      if (provider == hwprof::ProviderKind::Software) {
+        EXPECT_DOUBLE_EQ(row.ipc(), 1.0);
+      }
     }
   }
   EXPECT_TRUE(found) << "report must carry a row for " << kernel_name;

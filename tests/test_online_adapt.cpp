@@ -94,6 +94,36 @@ TEST_F(AdaptModeTest, RecoversFromWorkloadShiftViaHotSwap) {
   EXPECT_EQ(params.policy, raja::PolicyType::seq_segit_omp_parallel_for_exec);
 }
 
+TEST_F(AdaptModeTest, CorrectModelUnderNoisyTimingsNeverFiresDrift) {
+  // The model is right for this regime (seq on small launches); only the
+  // measurements are noisy. Noise alone must not read as drift: no fire, and
+  // the explorer never leaves its base rate.
+  const TunerModel model = small_regime_model();
+
+  auto& rt = Runtime::instance();
+  rt.reset();
+  rt.set_execute_selected(false);
+  rt.set_mode(Mode::Adapt);
+  sim::MachineConfig noisy;
+  noisy.noise_sigma = 0.60;  // 10x the default: wall-clock noise on µs launches
+  rt.set_machine(sim::MachineModel(noisy));
+
+  online::OnlineConfig config;
+  config.explorer.epsilon = 0.10;
+  rt.configure_online(config);
+  rt.set_policy_model(model);
+
+  bool boosted = false;
+  for (int i = 0; i < 1500; ++i) {
+    launch(i % 3 == 0 ? 1000 : (i % 3 == 1 ? 2000 : 4000));
+    boosted = boosted || rt.online().status().exploring_boosted;
+  }
+  const auto status = rt.online().status();
+  EXPECT_GT(status.explorations, 0u);
+  EXPECT_EQ(status.drift_fires, 0u);
+  EXPECT_FALSE(boosted);
+}
+
 TEST_F(AdaptModeTest, StridedSamplingAndExploredLaunchesFillBuffer) {
   auto& rt = Runtime::instance();
   rt.reset();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <random>
 
 #include "core/trainer.hpp"
@@ -125,6 +126,13 @@ struct MixCase {
   std::int64_t bytes;
 };
 
+/// Prints the case from its fields. gtest_discover_tests names each case by
+/// this printout (Suite.Test/<printed param>); without it gtest dumps the
+/// struct's bytes, padding included, and the test ID changes between builds.
+void PrintTo(const MixCase& c, std::ostream* os) {
+  *os << "fp" << c.fp << "_div" << c.div << "_load" << c.load << "_bytes" << c.bytes;
+}
+
 class ModelSanitySweep : public ::testing::TestWithParam<MixCase> {};
 
 TEST_P(ModelSanitySweep, CostsPositiveMonotoneAndCrossoverOrdered) {
@@ -161,6 +169,10 @@ struct ScheduleCase {
   std::int64_t chunk;
   unsigned threads;
 };
+
+void PrintTo(const ScheduleCase& c, std::ostream* os) {  // stable test ID, as for MixCase
+  *os << "n" << c.n << "_chunk" << c.chunk << "_threads" << c.threads;
+}
 
 class ForallComposition : public ::testing::TestWithParam<ScheduleCase> {};
 
